@@ -1,44 +1,29 @@
-"""E-K1 — kernel microbenchmark: baseline vs bitmask vs delta vs array LCC.
+"""E-K1 — kernel microbenchmark: the vectorized LCC fixpoint and enumeration.
 
-Not a paper figure: this benchmark guards the PRs that introduced the
-bitmask role kernels (``core/kernels.py``) and the array-backed CSR state
-(``core/arraystate.py``).  It times the full LCC fixpoint
-(``local_constraint_checking``) on the cached workloads of ``common.py``
-under four configurations
+Not a paper figure: this benchmark times the full LCC fixpoint
+(``local_constraint_checking``, bitmask role kernels over the CSR array
+state) on the cached workloads of ``common.py`` and reports absolute wall
+seconds with the round, message and visit counters.  The timing includes
+the dict->CSR->dict conversions at the boundaries.  The WIDE-STRESS
+workload (72-role path, two-word role masks) keeps the multi-word mask
+branches timed.
 
-* ``baseline``       — the set-based reference path (``role_kernel=False``),
-* ``kernel``         — bitmask tables, all-vertex rounds (``delta=False``),
-* ``kernel+delta``   — bitmask tables plus the semi-naive worklist,
-* ``array``          — kernel+delta on the vectorized CSR array state,
+The ENUM-STRESS row times verification enumeration — brute-force
+backtracking (``enumerate_matches``) vs the vectorized frontier
+(``enumerate_matches_array``) — on the NLCC-STRESS LCC fixed point,
+asserting a >=3x ``speedup_array_enum`` with identical mapping sets.
 
-and writes ``BENCH_KERNELS.json`` at the repo root.  The acceptance bars
-are a >=2x wall-time speedup of ``kernel+delta`` over ``baseline`` and a
-further >=2x speedup of ``array`` over ``kernel+delta``, both on
-KERNEL-STRESS; fixed-point equality across all four variants is asserted
-on every workload, so a speedup can never come from doing less pruning.
-The ``array`` timing includes the dict->CSR->dict conversions at the
-boundaries, exactly as the pipeline pays them.
-
-Two additions guard the array-takeover PR:
-
-* the WIDE-STRESS workload (72-role path, two-word role masks) pins the
-  multi-word mask branches; its array-over-kernel+delta ratio is tracked
-  as ``speedup_wide_mask`` so the wide path can never silently fall off
-  the vectorized cliff;
-* the ENUM-STRESS row times verification enumeration — dict backtracking
-  (``enumerate_matches``) vs the vectorized frontier
-  (``enumerate_matches_array``) — on the NLCC-STRESS LCC fixed point,
-  asserting a >=3x ``speedup_array_enum`` with identical mapping sets.
+The results go to ``BENCH_KERNELS.json`` at the repo root.
 
 Methodology: best-of-``REPEATS`` wall time via ``time.perf_counter``
 around the fixpoint call only (graph/template construction excluded), a
-fresh ``SearchState``/``Engine``/``MessageStats`` per run, all variants on
-the same cached graph objects, single process, no warmup beyond the
-repeats themselves.  Each timed region runs with the ambient heap
-frozen (``gc.collect()`` + ``gc.freeze()``): collector pauses scale
-with the whole live heap, so without this a variant's wall time depends
-on what else the process imported or cached — the CSR-STRESS array
-variant measurably doubled when other bench modules were loaded first.
+fresh ``SearchState``/``Engine``/``MessageStats`` per run, on the cached
+graph objects, single process, no warmup beyond the repeats themselves.
+Each timed region runs with the ambient heap frozen (``gc.collect()`` +
+``gc.freeze()``): collector pauses scale with the whole live heap, so
+without this a run's wall time depends on what else the process imported
+or cached — the CSR-STRESS fixpoint measurably doubled when other bench
+modules were loaded first.
 Each run still pays for its own allocation churn.
 
 Run directly (``python benchmarks/bench_kernels.py``) for the full suite,
@@ -70,17 +55,10 @@ from common import (
 REPEATS = 3
 OUTPUT = Path(__file__).resolve().parents[1] / "BENCH_KERNELS.json"
 
-VARIANTS = [
-    ("baseline", dict(role_kernel=False, delta=False)),
-    ("kernel", dict(role_kernel=True, delta=False)),
-    ("kernel+delta", dict(role_kernel=True, delta=True)),
-    ("array", dict(role_kernel=True, delta=True, array_state=True)),
-]
-
-#: the workload both acceptance bars are pinned to
+#: the headline LCC workload
 ACCEPTANCE_WORKLOAD = "KERNEL-STRESS"
 
-#: the multi-word role-mask workload (``speedup_wide_mask``)
+#: the multi-word role-mask workload
 WIDE_WORKLOAD = "WIDE-STRESS"
 
 #: the enumeration comparison row (``speedup_array_enum``)
@@ -92,13 +70,13 @@ def _ambient_heap_frozen():
     """Exclude pre-existing live objects from GC walks while timing.
 
     Collector pauses inside a timed region scale with the *whole* live
-    heap, so a variant's wall time would otherwise depend on what the
+    heap, so a run's wall time would otherwise depend on what the
     process happens to have imported or cached (earlier workloads, other
     bench modules) — measured as a reproducible ~2x swing on the
-    CSR-STRESS array variant.  Collecting then freezing the ambient heap
+    CSR-STRESS fixpoint.  Collecting then freezing the ambient heap
     first means any collection triggered inside the region only walks
-    the run's own allocations: each variant still pays for its own
-    churn, but not for the bystanders.
+    the run's own allocations: each run still pays for its own churn,
+    but not for the bystanders.
     """
     gc.collect()
     gc.freeze()
@@ -108,39 +86,36 @@ def _ambient_heap_frozen():
         gc.unfreeze()
 
 
-def _run_once(graph, template, config):
-    """One timed LCC fixpoint run; returns (wall, counters, fixpoint)."""
+def _run_once(graph, template):
+    """One timed LCC fixpoint run; returns (wall, counters)."""
     state = SearchState.initial(graph, template)
     stats = MessageStats(DEFAULT_RANKS)
     engine = Engine(PartitionedGraph(graph, DEFAULT_RANKS), stats)
     with _ambient_heap_frozen():
         start = time.perf_counter()
         iterations = local_constraint_checking(
-            state, template.graph, engine, **config
+            state, template.graph, engine
         )
         wall = time.perf_counter() - start
     counters = {
         "iterations": iterations,
         "messages": stats.total_messages,
         "visits": stats.total_visits,
+        "surviving_vertices": state.num_active_vertices,
     }
-    fixpoint = (
-        {v: frozenset(r) for v, r in state.candidates.items()},
-        frozenset(state.active_edge_list()),
-    )
-    return wall, counters, fixpoint
+    return wall, counters
 
 
 def _enumeration_row(repeats):
-    """Time verification enumeration: dict backtracking vs array frontier.
+    """Time verification enumeration: brute-force backtracking vs array frontier.
 
-    Mirrors ``search.py``'s verification tail: both sides enumerate the
-    distance-0 prototype on the LCC fixed point of NLCC-STRESS (the
-    two-label hub-storm workload, whose repeated labels give the
-    backtracker a wide branching factor).  The dict side pays
-    ``state.to_graph()`` inside the timed region and the array side pays
-    nothing but the frontier walk — exactly the costs the two pipeline
-    tails pay.  Mapping-*set* equality is asserted by the caller.
+    Both sides enumerate the distance-0 prototype on the LCC fixed point
+    of NLCC-STRESS (the two-label hub-storm workload, whose repeated
+    labels give the backtracker a wide branching factor).  The
+    backtracking side pays ``state.to_graph()`` inside the timed region;
+    the array side pays nothing but the frontier walk, as in
+    ``search.py``'s verification tail.  Mapping-*set* equality is
+    asserted by the caller.
     """
     from repro.core.arraystate import ArraySearchState
     from repro.core.enumeration import (
@@ -157,7 +132,7 @@ def _enumeration_row(repeats):
     engine = Engine(
         PartitionedGraph(graph, DEFAULT_RANKS), MessageStats(DEFAULT_RANKS)
     )
-    local_constraint_checking(state, template.graph, engine, array_state=True)
+    local_constraint_checking(state, template.graph, engine)
     kernel = cached_role_kernel(template.graph)
     astate = ArraySearchState.from_search_state(state, roles=kernel.roles)
 
@@ -199,59 +174,26 @@ def _enumeration_row(repeats):
 
 
 def run_suite(repeats=REPEATS, workloads=None):
-    """Benchmark every workload x variant; returns the JSON payload."""
+    """Benchmark every workload; returns the JSON payload."""
     rows = []
     for name, graph_factory, template_factory in (
         workloads or kernel_workloads()
     ):
         graph = graph_factory()
         template = template_factory()
-        variants = {}
-        fixpoints = {}
-        for label, config in VARIANTS:
-            best, counters = None, None
-            for _ in range(repeats):
-                wall, run_counters, fixpoint = _run_once(
-                    graph, template, config
-                )
-                if best is None or wall < best:
-                    best, counters = wall, run_counters
-            variants[label] = dict(wall_seconds=best, **counters)
-            fixpoints[label] = fixpoint
-        base = variants["baseline"]
-        row = {
+        best, counters = None, None
+        for _ in range(repeats):
+            wall, run_counters = _run_once(graph, template)
+            if best is None or wall < best:
+                best, counters = wall, run_counters
+        rows.append({
             "name": name,
             "vertices": graph.num_vertices,
             "edges": graph.num_edges,
             "template_roles": template.graph.num_vertices,
-            "variants": variants,
-            "speedup_kernel": speedup(
-                base["wall_seconds"], variants["kernel"]["wall_seconds"]
-            ),
-            "speedup_kernel_delta": speedup(
-                base["wall_seconds"], variants["kernel+delta"]["wall_seconds"]
-            ),
-            "speedup_array": speedup(
-                base["wall_seconds"], variants["array"]["wall_seconds"]
-            ),
-            "speedup_array_vs_delta": speedup(
-                variants["kernel+delta"]["wall_seconds"],
-                variants["array"]["wall_seconds"],
-            ),
-            "visit_reduction_delta": (
-                1 - variants["kernel+delta"]["visits"] / base["visits"]
-                if base["visits"] else 0.0
-            ),
-            "fixpoint_equal": all(
-                fp == fixpoints["baseline"] for fp in fixpoints.values()
-            ),
-        }
-        if name == WIDE_WORKLOAD:
-            # The wide row's array-over-kernel+delta ratio gets its own
-            # tracked name so the multi-word branches are gated
-            # independently of the single-word acceptance workload.
-            row["speedup_wide_mask"] = row["speedup_array_vs_delta"]
-        rows.append(row)
+            "wall_seconds": best,
+            **counters,
+        })
     largest = max(rows, key=lambda row: row["vertices"])
     for row in rows:
         row["largest"] = row is largest
@@ -261,16 +203,13 @@ def run_suite(repeats=REPEATS, workloads=None):
         "methodology": {
             "timer": "time.perf_counter around local_constraint_checking only",
             "repeats": repeats,
-            "aggregation": "best-of (min wall time per variant)",
+            "aggregation": "best-of (min wall time)",
             "ranks": DEFAULT_RANKS,
             "fresh_state_per_run": True,
             "python": platform.python_version(),
             "acceptance": (
-                ">=2x kernel+delta speedup over baseline, a further >=2x "
-                "array speedup over kernel+delta, and a reduced visitor "
-                "count, all on KERNEL-STRESS; >=3x array enumeration "
-                "speedup over dict backtracking on ENUM-STRESS with "
-                "identical mapping sets; identical fixed points everywhere"
+                ">=3x array enumeration speedup over brute-force "
+                "backtracking on ENUM-STRESS with identical mapping sets"
             ),
         },
         "workloads": rows,
@@ -278,40 +217,18 @@ def run_suite(repeats=REPEATS, workloads=None):
 
 
 def check_acceptance(payload):
-    """Assert the perf bars; returns the acceptance workload's row."""
-    for row in payload["workloads"]:
-        if "variants" in row:
-            assert row["fixpoint_equal"], (
-                f"{row['name']}: fixed points diverge"
-            )
-        else:
-            assert row["mappings_equal"], (
-                f"{row['name']}: mapping sets diverge"
-            )
+    """Assert the enumeration bar; returns the ENUM-STRESS row."""
     enum_row = next(
-        (r for r in payload["workloads"] if r["name"] == ENUM_WORKLOAD), None
+        r for r in payload["workloads"] if r["name"] == ENUM_WORKLOAD
     )
-    if enum_row is not None:
-        assert enum_row["speedup_array_enum"] >= 3.0, (
-            f"{enum_row['name']}: array enumeration speedup "
-            f"{enum_row['speedup_array_enum']:.2f}x < 3x"
-        )
-    target = next(
-        r for r in payload["workloads"] if r["name"] == ACCEPTANCE_WORKLOAD
+    assert enum_row["mappings_equal"], (
+        f"{enum_row['name']}: mapping sets diverge"
     )
-    delta, base = target["variants"]["kernel+delta"], target["variants"]["baseline"]
-    assert target["speedup_kernel_delta"] >= 2.0, (
-        f"{target['name']}: kernel+delta speedup "
-        f"{target['speedup_kernel_delta']:.2f}x < 2x"
+    assert enum_row["speedup_array_enum"] >= 3.0, (
+        f"{enum_row['name']}: array enumeration speedup "
+        f"{enum_row['speedup_array_enum']:.2f}x < 3x"
     )
-    assert target["speedup_array_vs_delta"] >= 2.0, (
-        f"{target['name']}: array speedup over kernel+delta "
-        f"{target['speedup_array_vs_delta']:.2f}x < 2x"
-    )
-    assert delta["visits"] < base["visits"], (
-        f"{target['name']}: delta did not reduce visitor count"
-    )
-    return target
+    return enum_row
 
 
 def report(payload):
@@ -319,31 +236,28 @@ def report(payload):
         [
             row["name"] + (" *" if row["name"] == ACCEPTANCE_WORKLOAD else ""),
             f"{row['vertices']}/{row['edges']}",
-            f"{row['variants']['baseline']['wall_seconds']:.3f}s",
-            f"{row['variants']['kernel']['wall_seconds']:.3f}s",
-            f"{row['variants']['kernel+delta']['wall_seconds']:.3f}s",
-            f"{row['variants']['array']['wall_seconds']:.3f}s",
-            f"{row['speedup_kernel_delta']:.1f}x",
-            f"{row['speedup_array_vs_delta']:.1f}x",
-            f"{row['speedup_array']:.1f}x",
-            "yes" if row["fixpoint_equal"] else "NO",
+            f"{row['wall_seconds']:.3f}s",
+            str(row["iterations"]),
+            str(row["messages"]),
+            str(row["visits"]),
+            str(row["surviving_vertices"]),
         ]
         for row in payload["workloads"]
-        if "variants" in row
+        if "wall_seconds" in row
     ]
     print(format_table(
-        ["workload", "V/E", "baseline", "kernel", "k+delta", "array",
-         "delta/base", "array/delta", "array/base", "same fixpoint"],
+        ["workload", "V/E", "lcc wall", "rounds", "messages", "visits",
+         "surviving"],
         rows,
     ))
-    print("* acceptance workload (both speedup bars)")
+    print("* headline LCC workload")
     enum_row = next(
         (r for r in payload["workloads"] if r["name"] == ENUM_WORKLOAD), None
     )
     if enum_row is not None:
         enum = enum_row["enum"]
         print(
-            f"{enum_row['name']}: dict "
+            f"{enum_row['name']}: backtracking "
             f"{enum['dict']['wall_seconds']:.3f}s vs array "
             f"{enum['array']['wall_seconds']:.3f}s -> "
             f"{enum_row['speedup_array_enum']:.1f}x "
@@ -354,19 +268,17 @@ def report(payload):
 
 @pytest.mark.benchmark(group="kernels")
 def test_kernel_fixpoint_speedup(benchmark):
-    print_header(
-        "E-K1 — LCC fixpoint: baseline vs kernel vs kernel+delta vs array"
-    )
+    print_header("E-K1 — LCC fixpoint and verification enumeration")
     payload = benchmark.pedantic(run_suite, rounds=1, iterations=1)
     report(payload)
-    target = check_acceptance(payload)
+    enum_row = check_acceptance(payload)
     OUTPUT.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"\nwrote {OUTPUT}")
-    assert target["speedup_kernel_delta"] >= 2.0
+    assert enum_row["speedup_array_enum"] >= 3.0
 
 
 def smoke_suite():
-    """The CI-sized subset: acceptance, CSR and wide-mask workloads.
+    """The CI-sized subset: headline, CSR and wide-mask workloads.
 
     ``run_suite`` always appends the ENUM-STRESS row, so the smoke gate
     also covers ``speedup_array_enum``.

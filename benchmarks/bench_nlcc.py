@@ -1,28 +1,23 @@
-"""E-N1 — NLCC microbenchmark: dict token walk vs batched array frontier.
+"""E-N1 — NLCC microbenchmark: the batched array token frontier.
 
-Not a paper figure: this benchmark guards the PR that rebuilt NLCC as a
-batched token frontier over the CSR (``core/arraystate.array_token_walk``)
-with per-(vertex, hop, initiator) dedup.  Two measurements per workload:
+Not a paper figure: this benchmark times NLCC as a batched token frontier
+over the CSR (``core/arraystate.array_token_walk``) with
+per-(vertex, hop, initiator) dedup.  Two measurements per workload:
 
 * *token walk* — every non-local constraint of the workload's template
-  checked sequentially on a copy of the post-LCC state, dict visitor walk
-  (``array_nlcc=False``) vs array frontier (``array_nlcc=True``, including
-  the per-constraint dict->CSR->dict round trip, exactly as a
-  non-persistent pipeline pays it);
-* *pipeline* — the full ``run_pipeline`` end to end, array NLCC off vs on
-  (the on-configuration additionally engages the level-persistent array
-  state and warm-seeded LCC rounds).
+  checked sequentially on a copy of the post-LCC state, once converting
+  the dict state per constraint (``round-trip``) and once on one live
+  array state (``persistent``, as a pipeline runs it);
+* *pipeline* — the full ``run_pipeline`` end to end.
 
-Writes ``BENCH_NLCC.json`` at the repo root.  The acceptance bar is a
->=3x token-walk speedup on NLCC-STRESS (a two-label hub-storm workload)
-with *identical* results: per-constraint checked/satisfied/eliminated
-counts, walk completions, and the final pruned state must match between
-the two modes, so the speedup can never come from doing less checking.
-Match counts of the pipeline runs must agree as well.
+Writes ``BENCH_NLCC.json`` at the repo root with absolute wall seconds.
+The acceptance check is *identical* results between the two walk modes:
+per-constraint checked/satisfied/eliminated counts, walk completions, and
+the final pruned state.
 
 Methodology: best-of-``REPEATS`` wall time via ``time.perf_counter``
 around the constraint loop / pipeline call only, fresh state and engine
-per run, both variants on the same cached graph objects, single process.
+per run, on the same cached graph objects, single process.
 
 Run directly (``python benchmarks/bench_nlcc.py``) for the full suite,
 ``--smoke`` for the CI-sized subset, or via pytest-benchmark.
@@ -36,8 +31,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import format_table, speedup
+from repro.analysis import format_table
 from repro.core import (
+    ArraySearchState,
     PipelineOptions,
     SearchState,
     generate_constraints,
@@ -53,11 +49,11 @@ from common import DEFAULT_RANKS, nlcc_workloads, print_header
 REPEATS = 3
 OUTPUT = Path(__file__).resolve().parents[1] / "BENCH_NLCC.json"
 
-#: the workload the acceptance bar is pinned to
+#: the headline workload (the CI smoke subset)
 ACCEPTANCE_WORKLOAD = "NLCC-STRESS"
 #: edit distance of the end-to-end pipeline runs
 PIPELINE_K = 1
-#: pipeline runs are end-to-end minutes in dict mode — time them once
+#: pipeline runs are end to end — time them once
 PIPELINE_REPEATS = 1
 
 
@@ -67,7 +63,7 @@ def _post_lcc_state(graph, template):
     engine = Engine(
         PartitionedGraph(graph, DEFAULT_RANKS), MessageStats(DEFAULT_RANKS)
     )
-    local_constraint_checking(state, template.graph, engine, array_state=True)
+    local_constraint_checking(state, template.graph, engine)
     return state
 
 
@@ -79,7 +75,7 @@ def _constraints_for(graph, template):
     return constraint_set.non_local
 
 
-def _run_walk(graph, template, base_state, constraints, array_nlcc):
+def _run_walk(graph, template, base_state, constraints, persistent):
     """One timed pass over all non-local constraints; returns (wall, digest)."""
     state = base_state.copy()
     kernel = compile_role_kernel(template.graph)
@@ -87,10 +83,13 @@ def _run_walk(graph, template, base_state, constraints, array_nlcc):
     engine = Engine(PartitionedGraph(graph, DEFAULT_RANKS), stats)
     digest = []
     start = time.perf_counter()
+    astate = None
+    if persistent:
+        astate = ArraySearchState.from_search_state(state, roles=kernel.roles)
     for constraint in constraints:
         result = non_local_constraint_checking(
             state, constraint, engine, recycle=False, kernel=kernel,
-            array_nlcc=array_nlcc,
+            astate=astate,
         )
         digest.append((
             constraint.kind,
@@ -99,6 +98,8 @@ def _run_walk(graph, template, base_state, constraints, array_nlcc):
             result.eliminated_roles,
             result.completions,
         ))
+    if persistent:
+        astate.write_back(state)
     wall = time.perf_counter() - start
     fixpoint = (
         {v: frozenset(r) for v, r in state.candidates.items()},
@@ -111,10 +112,8 @@ def _run_walk(graph, template, base_state, constraints, array_nlcc):
     return wall, counters, (tuple(digest), fixpoint)
 
 
-def _run_pipeline_once(graph, template, array_nlcc):
-    options = PipelineOptions(
-        num_ranks=DEFAULT_RANKS, count_matches=True, array_nlcc=array_nlcc
-    )
+def _run_pipeline_once(graph, template):
+    options = PipelineOptions(num_ranks=DEFAULT_RANKS, count_matches=True)
     start = time.perf_counter()
     result = run_pipeline(graph, template, PIPELINE_K, options)
     wall = time.perf_counter() - start
@@ -139,11 +138,11 @@ def run_suite(repeats=REPEATS, workloads=None, pipeline=True):
 
         walk = {}
         digests = {}
-        for label, array_nlcc in (("dict", False), ("array", True)):
+        for label, persistent in (("round-trip", False), ("persistent", True)):
             best, counters = None, None
             for _ in range(repeats):
                 wall, run_counters, digest = _run_walk(
-                    graph, template, base_state, constraints, array_nlcc
+                    graph, template, base_state, constraints, persistent
                 )
                 if best is None or wall < best:
                     best, counters = wall, run_counters
@@ -155,34 +154,16 @@ def run_suite(repeats=REPEATS, workloads=None, pipeline=True):
             "edges": graph.num_edges,
             "constraints": len(constraints),
             "walk": walk,
-            "speedup_array_nlcc": speedup(
-                walk["dict"]["wall_seconds"], walk["array"]["wall_seconds"]
-            ),
-            "results_equal": digests["dict"] == digests["array"],
+            "results_equal": digests["round-trip"] == digests["persistent"],
         }
 
         if pipeline:
-            pipe = {}
-            pipe_stats = {}
-            for label, array_nlcc in (("dict", False), ("array", True)):
-                best, info = None, None
-                for _ in range(PIPELINE_REPEATS):
-                    wall, run_info = _run_pipeline_once(
-                        graph, template, array_nlcc
-                    )
-                    if best is None or wall < best:
-                        best, info = wall, run_info
-                pipe[label] = dict(wall_seconds=best, **info)
-                pipe_stats[label] = (
-                    info["matched_vertices"], info["match_mappings"]
-                )
-            row["pipeline"] = pipe
-            row["speedup_pipeline_nlcc"] = speedup(
-                pipe["dict"]["wall_seconds"], pipe["array"]["wall_seconds"]
-            )
-            row["pipeline_matches_equal"] = (
-                pipe_stats["dict"] == pipe_stats["array"]
-            )
+            best, info = None, None
+            for _ in range(PIPELINE_REPEATS):
+                wall, run_info = _run_pipeline_once(graph, template)
+                if best is None or wall < best:
+                    best, info = wall, run_info
+            row["pipeline"] = dict(wall_seconds=best, **info)
         rows.append(row)
     return {
         "experiment": "E-N1 NLCC token walk microbenchmark",
@@ -199,9 +180,8 @@ def run_suite(repeats=REPEATS, workloads=None, pipeline=True):
             "fresh_state_per_run": True,
             "python": platform.python_version(),
             "acceptance": (
-                ">=3x array token-walk speedup over the dict walk on "
-                "NLCC-STRESS with identical per-constraint results and "
-                "final states; identical pipeline match counts"
+                "identical per-constraint results and final states "
+                "between the round-trip and persistent walk modes"
             ),
         },
         "workloads": rows,
@@ -209,21 +189,12 @@ def run_suite(repeats=REPEATS, workloads=None, pipeline=True):
 
 
 def check_acceptance(payload):
-    """Assert the perf bar; returns the acceptance workload's row."""
+    """Assert result equality; returns the headline workload's row."""
     for row in payload["workloads"]:
         assert row["results_equal"], f"{row['name']}: walk results diverge"
-        if "pipeline" in row:
-            assert row["pipeline_matches_equal"], (
-                f"{row['name']}: pipeline match counts diverge"
-            )
-    target = next(
+    return next(
         r for r in payload["workloads"] if r["name"] == ACCEPTANCE_WORKLOAD
     )
-    assert target["speedup_array_nlcc"] >= 3.0, (
-        f"{target['name']}: array token-walk speedup "
-        f"{target['speedup_array_nlcc']:.2f}x < 3x"
-    )
-    return target
 
 
 def report(payload):
@@ -233,39 +204,35 @@ def report(payload):
         rows.append([
             row["name"] + (" *" if row["name"] == ACCEPTANCE_WORKLOAD else ""),
             f"{row['vertices']}/{row['edges']}",
-            f"{row['walk']['dict']['wall_seconds']:.3f}s",
-            f"{row['walk']['array']['wall_seconds']:.3f}s",
-            f"{row['speedup_array_nlcc']:.1f}x",
-            f"{pipe['dict']['wall_seconds']:.2f}s" if pipe else "-",
-            f"{pipe['array']['wall_seconds']:.2f}s" if pipe else "-",
-            f"{row['speedup_pipeline_nlcc']:.1f}x" if pipe else "-",
+            f"{row['walk']['round-trip']['wall_seconds']:.3f}s",
+            f"{row['walk']['persistent']['wall_seconds']:.3f}s",
+            f"{pipe['wall_seconds']:.2f}s" if pipe else "-",
+            str(pipe["match_mappings"]) if pipe else "-",
             "yes" if row["results_equal"] else "NO",
         ])
     print(format_table(
-        ["workload", "V/E", "walk dict", "walk array", "walk speedup",
-         "pipe dict", "pipe array", "pipe speedup", "same results"],
+        ["workload", "V/E", "walk round-trip", "walk persistent",
+         "pipeline", "mappings", "same results"],
         rows,
     ))
-    print("* acceptance workload (>=3x walk speedup)")
+    print("* headline workload")
 
 
 @pytest.mark.benchmark(group="nlcc")
-def test_nlcc_walk_speedup(benchmark):
-    print_header("E-N1 — NLCC: dict token walk vs batched array frontier")
+def test_nlcc_walk(benchmark):
+    print_header("E-N1 — NLCC: batched array token frontier")
     payload = benchmark.pedantic(run_suite, rounds=1, iterations=1)
     report(payload)
-    target = check_acceptance(payload)
+    check_acceptance(payload)
     OUTPUT.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"\nwrote {OUTPUT}")
-    assert target["speedup_array_nlcc"] >= 3.0
 
 
 def smoke_suite():
-    """The CI-sized subset: acceptance workload, walk only, fewer repeats.
+    """The CI-sized subset: headline workload, walk only, fewer repeats.
 
-    The end-to-end pipeline runs are minutes in dict mode, so CI guards
-    the token-walk speedup and result equality only; pipeline equality is
-    covered by the tier-1 equivalence tests.
+    End-to-end answers are covered by the oracle-checked tier-1 tests and
+    the ``perfbench/`` workloads.
     """
     workloads = [w for w in nlcc_workloads() if w[0] == ACCEPTANCE_WORKLOAD]
     return run_suite(repeats=2, workloads=workloads, pipeline=False)

@@ -1,27 +1,23 @@
-"""E-P1 — worker-pool shipping: dict pickles vs shared-memory bitmaps.
+"""E-P1 — worker-pool shipping: shared-memory bitmap task payloads.
 
-Not a paper figure: this benchmark guards the PR that rebuilt the worker
-pool around one shared-memory CSR segment (``runtime/shm.py``) with
-packed-bitmap task payloads (``PoolTask`` kind ``"array"``).  Three
-measurements per workload:
+Not a paper figure: this benchmark measures the worker pool built around
+one shared-memory CSR segment (``runtime/shm.py``) with packed-bitmap
+task payloads (``PoolTask``).  Three measurements per workload:
 
-* *payload bytes* — the pickled wire size of every level-0/1 task in
-  legacy ``dict`` form vs packed ``array`` form (bitmaps over the shared
-  CSR); the acceptance bar is a >=10x reduction on SHM-NLCC-STRESS,
+* *payload bytes* — the pickled wire size of every level-0/1 task,
+  against the same scopes pickled as per-vertex candidate lists plus an
+  edge list; the acceptance bar is a >=10x reduction on SHM-NLCC-STRESS,
   deterministic, no timer involved;
 * *ship + setup* — round-trip ``pickle.dumps``/``loads`` plus the
-  worker-side starting-state rebuild (dict: ``SearchState`` from
-  candidate/edge lists; array: ``ArraySearchState.from_scope_payload``
-  over the memoized CSR), best-of-``REPEATS``;
-* *pooled end to end* — ``run_pipeline`` with ``worker_processes=2``,
-  ``shm_pool`` on vs off, whole-call wall clock; the ratio is tracked as
-  ``speedup_shm_pool`` in ``BENCH_HISTORY.jsonl`` by ``compare_bench.py``.
+  worker-side ``ArraySearchState.from_scope_payload`` rebuild over the
+  memoized CSR, best-of-``REPEATS``;
+* *pooled end to end* — ``run_pipeline`` with ``worker_processes=2``
+  next to the in-process run, whole-call wall clock.
 
-Workload names carry an ``SHM-`` prefix so the history rows never
-collide with the kernel/NLCC benches' rows for the same graphs.  Both
-pooled modes and the sequential oracle must report identical matched
-vertices and match mappings — the speedup can never come from searching
-a different scope.
+Workload names carry an ``SHM-`` prefix so the rows never collide with
+the kernel/NLCC benches' rows for the same graphs.  The pooled and the
+in-process run must report identical matched vertices and match
+mappings.
 
 Writes ``BENCH_PARALLEL.json`` at the repo root.  Run directly
 (``python benchmarks/bench_parallel.py``) for the full suite, ``--smoke``
@@ -38,12 +34,12 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import format_table, speedup
-from repro.core import PipelineOptions, SearchState, run_pipeline
+from repro.core import PipelineOptions, run_pipeline
 from repro.core.arraystate import ArraySearchState, csr_of
 from repro.core.candidate_set import max_candidate_set
 from repro.core.prototypes import generate_prototypes
 from repro.runtime import Engine, MessageStats, PartitionedGraph
-from repro.runtime.parallel import array_task, dict_task
+from repro.runtime.parallel import array_task
 from common import (
     DEFAULT_RANKS,
     kernel_stress_background,
@@ -58,7 +54,7 @@ OUTPUT = Path(__file__).resolve().parents[1] / "BENCH_PARALLEL.json"
 
 #: the workload the acceptance bar is pinned to
 ACCEPTANCE_WORKLOAD = "SHM-NLCC-STRESS"
-#: required dict-over-array wire-size ratio on the acceptance workload
+#: required listed-over-bitmap wire-size ratio on the acceptance workload
 PAYLOAD_REDUCTION_BAR = 10.0
 #: pool size of the end-to-end runs
 WORKERS = 2
@@ -79,11 +75,8 @@ def shm_workloads():
 
 
 def _options(**overrides):
-    """The array-eligible pool configuration (shm bitmaps by default)."""
-    base = dict(
-        num_ranks=DEFAULT_RANKS, count_matches=True,
-        array_state=True, array_nlcc=True,
-    )
+    """The benchmarked configuration (in-process unless overridden)."""
+    base = dict(num_ranks=DEFAULT_RANKS, count_matches=True)
     base.update(overrides)
     return PipelineOptions(**base)
 
@@ -93,9 +86,7 @@ def _level_scopes(graph, template):
     engine = Engine(
         PartitionedGraph(graph, DEFAULT_RANKS), MessageStats(DEFAULT_RANKS)
     )
-    base_state = max_candidate_set(
-        graph, template, engine, array_state=True
-    )
+    base_state = max_candidate_set(graph, template, engine)
     base_astate = ArraySearchState.from_search_state(
         base_state, roles=sorted(template.graph.vertices())
     )
@@ -110,47 +101,39 @@ def _level_scopes(graph, template):
 
 
 def _payload_bytes(scopes):
-    """Total pickled wire size of the level's tasks, per payload kind."""
-    dict_bytes = sum(
-        len(pickle.dumps(dict_task(proto.id, state)))
-        for proto, state, _astate in scopes
+    """Total pickled wire size of the level's tasks: bitmaps vs lists."""
+    listed_bytes = sum(
+        len(pickle.dumps((
+            [(v, list(roles)) for v, roles in state.candidates.items()],
+            state.active_edge_list(),
+        )))
+        for _proto, state, _astate in scopes
     )
     array_bytes = sum(
         len(pickle.dumps(array_task(proto.id, astate)))
         for proto, _state, astate in scopes
     )
-    return dict_bytes, array_bytes
+    return listed_bytes, array_bytes
 
 
-def _ship_setup_once(graph, scopes, kind):
+def _ship_setup_once(graph, scopes):
     """One timed dumps → loads → worker-side state rebuild pass."""
     csr = csr_of(graph)
     start = time.perf_counter()
-    for proto, state, astate in scopes:
-        if kind == "dict":
-            task = pickle.loads(pickle.dumps(dict_task(proto.id, state)))
-            candidates_payload, edges_payload = task.data
-            candidates = {v: set(roles) for v, roles in candidates_payload}
-            active_edges = {v: set() for v in candidates}
-            for u, v in edges_payload:
-                active_edges.setdefault(u, set()).add(v)
-                active_edges.setdefault(v, set()).add(u)
-            SearchState(graph, candidates, active_edges)
-        else:
-            task = pickle.loads(pickle.dumps(array_task(proto.id, astate)))
-            vertex_bits, edge_bits, _warm = task.data
-            ArraySearchState.from_scope_payload(
-                graph, csr, proto, vertex_bits, edge_bits
-            )
+    for proto, _state, astate in scopes:
+        task = pickle.loads(pickle.dumps(array_task(proto.id, astate)))
+        vertex_bits, edge_bits, _warm = task.data
+        ArraySearchState.from_scope_payload(
+            graph, csr, proto, vertex_bits, edge_bits
+        )
     return time.perf_counter() - start
 
 
-def _pipeline_once(graph, template, shm_pool):
-    """One pooled end-to-end run; returns (wall, result digest)."""
+def _pipeline_once(graph, template, workers):
+    """One end-to-end run; returns (wall, result digest)."""
     start = time.perf_counter()
     result = run_pipeline(
-        graph, template, K,
-        _options(worker_processes=WORKERS, shm_pool=shm_pool),
+        graph, template, K, _options(worker_processes=workers)
     )
     wall = time.perf_counter() - start
     return wall, {
@@ -168,44 +151,28 @@ def run_suite(repeats=REPEATS, workloads=None, pipeline=True):
         graph = graph_factory()
         template = template_factory()
         scopes = _level_scopes(graph, template)
-        dict_bytes, array_bytes = _payload_bytes(scopes)
-
-        ship = {}
-        for kind in ("dict", "array"):
-            best = min(
-                _ship_setup_once(graph, scopes, kind)
-                for _ in range(repeats)
-            )
-            ship[kind] = {"wall_seconds": best}
+        listed_bytes, array_bytes = _payload_bytes(scopes)
         row = {
             "name": name,
             "vertices": graph.num_vertices,
             "edges": graph.num_edges,
             "tasks": len(scopes),
-            "payload_bytes": {"dict": dict_bytes, "array": array_bytes},
-            "payload_bytes_reduction": speedup(dict_bytes, array_bytes),
-            "ship_setup": ship,
-            "speedup_ship_setup": speedup(
-                ship["dict"]["wall_seconds"], ship["array"]["wall_seconds"]
+            "payload_bytes": {"listed": listed_bytes, "array": array_bytes},
+            "payload_bytes_reduction": speedup(listed_bytes, array_bytes),
+            "ship_setup_seconds": min(
+                _ship_setup_once(graph, scopes) for _ in range(repeats)
             ),
         }
 
         if pipeline:
-            sequential = run_pipeline(graph, template, K, _options())
-            oracle = {
-                "matched_vertices": len(sequential.match_vectors),
-                "match_mappings": sequential.total_match_mappings(),
-            }
             pipe = {}
             digests = {}
-            for label, shm_pool in (("dict", False), ("shm", True)):
+            for label, workers in (("in-process", 1), ("pool", WORKERS)):
                 best, digest = None, None
                 for _ in range(PIPELINE_REPEATS):
-                    wall, run_digest = _pipeline_once(
-                        graph, template, shm_pool
-                    )
+                    wall, run_digest = _pipeline_once(graph, template, workers)
                     assert digest is None or run_digest == digest, (
-                        f"{name}: {label}-pooled results vary across runs"
+                        f"{name}: {label} results vary across runs"
                     )
                     digest = run_digest
                     if best is None or wall < best:
@@ -213,12 +180,7 @@ def run_suite(repeats=REPEATS, workloads=None, pipeline=True):
                 pipe[label] = dict(wall_seconds=best, **digest)
                 digests[label] = digest
             row["pipeline"] = pipe
-            row["speedup_shm_pool"] = speedup(
-                pipe["dict"]["wall_seconds"], pipe["shm"]["wall_seconds"]
-            )
-            row["results_equal"] = (
-                digests["dict"] == oracle and digests["shm"] == oracle
-            )
+            row["results_equal"] = digests["pool"] == digests["in-process"]
         rows.append(row)
     return {
         "experiment": "E-P1 worker-pool payload shipping benchmark",
@@ -230,17 +192,16 @@ def run_suite(repeats=REPEATS, workloads=None, pipeline=True):
             ),
             "repeats": repeats,
             "pipeline_repeats": PIPELINE_REPEATS,
-            "aggregation": "best-of (min wall time per payload kind)",
+            "aggregation": "best-of (min wall time)",
             "ranks": DEFAULT_RANKS,
             "workers": WORKERS,
             "k": K,
             "python": platform.python_version(),
             "acceptance": (
                 f">={PAYLOAD_REDUCTION_BAR:.0f}x smaller pickled task "
-                "payloads (array bitmaps vs dict lists) on "
+                "payloads (bitmaps vs candidate/edge lists) on "
                 f"{ACCEPTANCE_WORKLOAD}; identical matched vertices and "
-                "match mappings across sequential, dict-pooled and "
-                "shm-pooled runs"
+                "match mappings between in-process and pooled runs"
             ),
         },
         "workloads": rows,
@@ -252,7 +213,7 @@ def check_acceptance(payload):
     for row in payload["workloads"]:
         if "results_equal" in row:
             assert row["results_equal"], (
-                f"{row['name']}: pooled results diverge from sequential"
+                f"{row['name']}: pooled results diverge from in-process"
             )
     target = next(
         r for r in payload["workloads"] if r["name"] == ACCEPTANCE_WORKLOAD
@@ -272,19 +233,17 @@ def report(payload):
         rows.append([
             row["name"] + (" *" if row["name"] == ACCEPTANCE_WORKLOAD else ""),
             f"{row['vertices']}/{row['edges']}",
-            f"{row['payload_bytes']['dict'] / 1024:.0f}K",
+            f"{row['payload_bytes']['listed'] / 1024:.0f}K",
             f"{row['payload_bytes']['array'] / 1024:.1f}K",
             f"{row['payload_bytes_reduction']:.0f}x",
-            f"{row['speedup_ship_setup']:.1f}x",
-            f"{pipe['dict']['wall_seconds']:.2f}s" if pipe else "-",
-            f"{pipe['shm']['wall_seconds']:.2f}s" if pipe else "-",
-            f"{row['speedup_shm_pool']:.2f}x" if pipe else "-",
+            f"{row['ship_setup_seconds'] * 1e3:.1f}ms",
+            f"{pipe['in-process']['wall_seconds']:.2f}s" if pipe else "-",
+            f"{pipe['pool']['wall_seconds']:.2f}s" if pipe else "-",
             ("yes" if row["results_equal"] else "NO") if pipe else "-",
         ])
     print(format_table(
-        ["workload", "V/E", "dict bytes", "array bytes", "reduction",
-         "ship speedup", "pool dict", "pool shm", "pool speedup",
-         "same results"],
+        ["workload", "V/E", "listed bytes", "array bytes", "reduction",
+         "ship+setup", "in-process", "pool", "same results"],
         rows,
     ))
     print(f"* acceptance workload "
@@ -293,7 +252,7 @@ def report(payload):
 
 @pytest.mark.benchmark(group="parallel")
 def test_shm_payload_reduction(benchmark):
-    print_header("E-P1 — pool shipping: dict pickles vs shared-memory bitmaps")
+    print_header("E-P1 — pool shipping: shared-memory bitmap payloads")
     payload = benchmark.pedantic(run_suite, rounds=1, iterations=1)
     report(payload)
     target = check_acceptance(payload)
@@ -305,9 +264,9 @@ def test_shm_payload_reduction(benchmark):
 def smoke_suite():
     """The CI-sized subset: acceptance workload only, fewer repeats.
 
-    Keeps the end-to-end pooled runs (single repeat) because the gate
-    tracks ``speedup_shm_pool`` across history; the deterministic
-    payload-bytes bar is what actually fails fast on a regression.
+    Keeps the end-to-end runs so pooled-vs-in-process result equality is
+    checked; the deterministic payload-bytes bar is what fails fast on a
+    regression.
     """
     workloads = [w for w in shm_workloads() if w[0] == ACCEPTANCE_WORKLOAD]
     return run_suite(repeats=2, workloads=workloads, pipeline=True)

@@ -121,10 +121,15 @@ def audit_result(graph: Graph, result: PipelineResult) -> AuditReport:
     Covers per-prototype solution vertices, solution edges, and (when the
     run counted) match-mapping counts.  The per-vertex match vectors are
     implied by the per-prototype vertex sets, so they are covered too.
+    Only searched prototypes are audited: an exploratory run stops at its
+    first matching level and leaves the deeper levels without outcomes.
     """
     report = AuditReport()
+    searched = {outcome.proto_id: outcome for outcome in result.outcomes()}
     for proto in result.prototype_set:
-        outcome = result.outcome_for(proto.id)
+        outcome = searched.get(proto.id)
+        if outcome is None:
+            continue
         audit = PrototypeAudit(proto.id, proto.name)
         audit.reported_vertices = set(outcome.solution_vertices)
         audit.reported_edges = {

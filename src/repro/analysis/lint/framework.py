@@ -1,10 +1,9 @@
 """Core machinery of ``repro lint`` — the project-specific AST checker.
 
-The codebase deliberately maintains two semantically-identical
-implementations of every hot path (the dict visitor walk and the CSR
-array kernels), threads a growing :class:`~repro.core.pipeline.PipelineOptions`
-through half a dozen driver modules, and promises zero tracing overhead
-when no tracer is attached.  Each of those properties has been broken
+The codebase runs its hot paths as vectorized CSR array kernels, threads
+a growing :class:`~repro.core.pipeline.PipelineOptions` through half a
+dozen driver modules, and promises zero tracing overhead when no tracer
+is attached.  Each of those properties has been broken
 before by an innocent-looking edit; this module checks them mechanically.
 
 Pieces:

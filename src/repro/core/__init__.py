@@ -5,8 +5,6 @@ from .arraystate import (
     GraphCsr,
     array_kernel_fixpoint,
     csr_of,
-    run_array_fixpoint,
-    supports_array_fixpoint,
 )
 from .batch import (
     BatchItemResult,
@@ -56,7 +54,6 @@ from .kernels import (
     cached_role_kernel,
     compile_role_kernel,
     kernel_cache_stats,
-    kernel_fixpoint,
 )
 from .lcc import local_constraint_checking
 from .motifs import (
@@ -94,7 +91,7 @@ from .patterns import (
     wdc3_template,
     wdc4_template,
 )
-from .pipeline import PipelineOptions, array_fallback_reason, run_pipeline
+from .pipeline import PipelineOptions, run_pipeline
 from .prototypes import (
     ChildLink,
     Prototype,
@@ -151,9 +148,6 @@ __all__ = [
     "GraphCsr",
     "array_kernel_fixpoint",
     "csr_of",
-    "run_array_fixpoint",
-    "supports_array_fixpoint",
-    "array_fallback_reason",
     "cached_prototypes",
     "cached_role_kernel",
     "clique_template",
@@ -181,7 +175,6 @@ __all__ = [
     "is_edge_monocyclic",
     "compile_role_kernel",
     "kernel_cache_stats",
-    "kernel_fixpoint",
     "prototype_cache_stats",
     "run_batch",
     "local_constraint_checking",

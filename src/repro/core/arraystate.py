@@ -1,11 +1,9 @@
 """Array-backed CSR search state and vectorized kernel fixpoints.
 
-The dict-of-sets :class:`~repro.core.state.SearchState` is the canonical
-representation (NLCC token walks, enumeration and the result objects all
-consume it), but the LCC/M* fixed points spend their time in per-vertex
-Python loops.  This module mirrors the paper's actual system shape (§4:
-a static CSR with bit vectors for deactivation) for exactly those hot
-loops:
+The dict-of-sets :class:`~repro.core.state.SearchState` is the interchange
+representation (scopes, checkpoints, result objects), while every search
+runs here, in the paper's actual system shape (§4: a static CSR with bit
+vectors for deactivation):
 
 * :class:`GraphCsr` — an immutable CSR snapshot of a background
   :class:`~repro.graph.graph.Graph` (``indptr``/``indices`` with every
@@ -18,12 +16,12 @@ loops:
   byte array and a per-directed-edge ``edge_alive`` byte array, with
   vectorized ``initial`` seeding, ``active_counts``, deactivation,
   ``for_prototype_search`` label-pair filtering and ``union_with``;
-* :func:`array_kernel_fixpoint` — the semi-naive arc-consistency loop of
-  :func:`~repro.core.kernels.kernel_fixpoint` with the per-vertex inbox
-  dicts replaced by boolean worklist arrays and the witness fold replaced
-  by one ``np.bitwise_or.reduceat`` over CSR segments per round.
+* :func:`array_kernel_fixpoint` — the semi-naive arc-consistency loop for
+  LCC and M*, with boolean worklist arrays and the witness fold computed
+  by one ``np.bitwise_or.reduceat`` over CSR segments per round;
+* :func:`array_token_walk` — the NLCC token walk as a batched frontier.
 
-Exactness contract: every operation reproduces the dict semantics
+Exactness contract: every operation reproduces the dict state's semantics
 *bit-for-bit*, including its quirks — the asymmetric initial edge
 aliveness (edges from candidates toward non-candidate neighbors are alive
 until pruned; the reverse direction never was), candidates holding empty
@@ -31,16 +29,15 @@ role sets (the pooled-level union creates them; they survive every round
 untouched because only vertices with a non-empty mask are evaluated), and
 the full-round edge-dedup rule that skips a pair from the larger-id side
 only when the smaller endpoint is still a *candidate* (not merely mask
-non-empty).  ``tests/core/test_arraystate.py`` pins all of this against
-the dict path on randomized workloads.
+non-empty).  ``tests/core/test_arraystate.py`` pins the conversions
+against the dict state and the fixed points against dual simulation and
+golden counters.
 
-Message accounting is batched: instead of one Visitor object per edge
-delivery, each round folds a rank-by-rank ``np.bincount`` matrix and
-per-rank visit counts through :meth:`Engine.record_batched_round`, giving
-the same per-round message/visit totals as the delta dict path (the Safra
-termination-detection traffic is approximated at the minimal two circuits
-per round, so control-message counts — and therefore simulated makespans —
-may differ slightly from the object path; fixed points never do).
+Message accounting is batched: each round folds a rank-by-rank
+``np.bincount`` matrix and per-rank visit counts through
+:meth:`Engine.record_batched_round`, charging one message per alive edge
+a broadcaster sends on and one visit per seed and per delivery, plus the
+minimal two-circuit termination-detection exchange per round.
 """
 
 from __future__ import annotations
@@ -893,9 +890,9 @@ class _RoundAccounting:
     """Folds one vectorized round's traffic into the engine stats.
 
     Precomputes per-vertex rank ownership and the per-edge destination
-    rank (delegate targets are handled on the sender's rank, as in
-    ``Context.broadcast``); each round then costs two ``np.bincount``
-    calls instead of one Visitor object per message.
+    rank (delegate targets are handled on the sender's rank: every rank
+    holds a delegate copy); each round then costs two ``np.bincount``
+    calls.
     """
 
     __slots__ = (
@@ -960,7 +957,7 @@ class _RoundAccounting:
         self._visits = np.zeros(ranks, dtype=np.int64)
 
     def add_seed_visits(self, seed_idx: np.ndarray) -> None:
-        """Count one dequeued-visitor visit per seed vertex."""
+        """Count one visit per seed vertex."""
         self._visits += np.bincount(
             self.rank_of[seed_idx], minlength=self.num_ranks
         )
@@ -982,8 +979,8 @@ class _RoundAccounting:
     ) -> None:
         """Record the accumulated batch as one traversal's traffic.
 
-        One flush = one quiescence/barrier interval, matching the dict
-        NLCC's single :meth:`Engine.do_traversal` per constraint.
+        One flush = one quiescence/barrier interval: one per NLCC
+        constraint.
         """
         ranks = self.num_ranks
         self.engine.record_batched_round(
@@ -999,16 +996,6 @@ class _RoundAccounting:
 # ----------------------------------------------------------------------
 # Vectorized fixpoint
 # ----------------------------------------------------------------------
-def supports_array_fixpoint(kernel: RoleKernel) -> bool:
-    """Always true: the array path is total over role counts.
-
-    Historically false beyond 64 roles; the multi-word ``(n, n_words)``
-    mask layout lifted that limit, so every kernel now runs vectorized.
-    Kept for API compatibility with older dispatch sites.
-    """
-    return True
-
-
 #: adaptive dense-round switch floor: below this many role-holding
 #: vertices the sparse bookkeeping is too cheap to be worth replacing
 #: (and unit-test-sized graphs stay on the classic semi-naive schedule)
@@ -1024,17 +1011,27 @@ def array_kernel_fixpoint(
     kernel: RoleKernel,
     engine,
     max_iterations: Optional[int] = None,
-    delta: bool = True,
     mandatory_masks: Optional[Dict[int, int]] = None,
     warm_mask: Optional[np.ndarray] = None,
     adaptive: bool = False,
 ) -> int:
-    """Vectorized :func:`~repro.core.kernels.kernel_fixpoint` over ``astate``.
+    """Run the bitmask arc-consistency fixed point over ``astate`` in place.
 
-    Same fixed point, same number of rounds and same per-round message
-    and visit counts as the dict kernel path.  The persistent per-vertex
-    inbox dicts of the delta mode are replaced by an invariant: after
-    round 1, the inbox entry of ``v`` from ``u`` always equals ``u``'s
+    ``mandatory_masks`` selects the rule applied per role bit:
+
+    * ``None`` — LCC (Alg. 4): a role survives iff *every* template
+      neighbor is witnessed by an active neighbor;
+    * a dict — max-candidate-set generation (§3.1): a role survives iff
+      all *mandatory* neighbors and at least one template neighbor are
+      witnessed (roles without template edges always survive).
+
+    Returns the number of rounds executed (the final no-change round is
+    counted).  The first round is dense (every vertex broadcasts and is
+    evaluated); later rounds are semi-naive: only vertices whose mask
+    changed re-broadcast, and only vertices that received from them or
+    lost a witness are re-evaluated.  Because masks and edge sets only
+    shrink, the per-round states equal those of all-vertex rounds.
+    Per-vertex inboxes are replaced by an invariant: after round 1, the inbox entry of ``v`` from ``u`` always equals ``u``'s
     current mask whenever the directed edge ``u -> v`` is alive (changed
     vertices re-broadcast; drops remove edges and entries together), so
     the witness fold can be recomputed live each round as one masked
@@ -1057,13 +1054,13 @@ def array_kernel_fixpoint(
     (elimination cascades flow almost entirely through ``pending``) —
     would cover at least :data:`ADAPTIVE_DENSITY_THRESHOLD` of the
     surviving role-holding vertices (and the scope is at least
-    :data:`ADAPTIVE_MIN_VERTICES` large), the round runs dense — evaluating every nonzero vertex, like
-    ``delta=False`` — instead of building the received/pending worklist
-    machinery for a worklist that is most of the graph anyway.  The
-    fixed point is identical by construction (a dense round evaluates a
-    superset of the sparse round's vertices against the same witness
-    fold, exactly the long-standing ``delta=False`` semantics); only the
-    per-round message/visit accounting differs.  The switch itself is
+    :data:`ADAPTIVE_MIN_VERTICES` large), the round runs dense —
+    evaluating every nonzero vertex, like round 1 — instead of building
+    the received/pending worklist machinery for a worklist that is most
+    of the graph anyway.  The fixed point and round count are identical
+    by construction (a dense round evaluates a superset of the sparse
+    round's vertices against the same witness fold); only the per-round
+    message/visit accounting differs.  The switch itself is
     driven by exact vertex counts, never wall clock, so it is fully
     deterministic for a given scope.
     """
@@ -1075,7 +1072,7 @@ def array_kernel_fixpoint(
         # single-word body below is preserved verbatim as the fast path.
         return _array_kernel_fixpoint_wide(
             astate, kernel, engine,
-            max_iterations=max_iterations, delta=delta,
+            max_iterations=max_iterations,
             mandatory_masks=mandatory_masks, warm_mask=warm_mask,
             adaptive=adaptive,
         )
@@ -1283,26 +1280,23 @@ def array_kernel_fixpoint(
         h_worklist.observe(seed_idx.shape[0])
         if not changed:
             break
-        if delta:
-            broadcasters = changed_vertices & nonzero
-            if adaptive:
-                scope_count = int(np.count_nonzero(nonzero))
-                if scope_count >= ADAPTIVE_MIN_VERTICES:
-                    # The round's true worklist: re-broadcasters plus the
-                    # witness-loss re-evaluations queued in `pending`
-                    # (elimination cascades have *empty* broadcaster sets
-                    # — all their work arrives via `pending`).
-                    worklist_count = int(
-                        np.count_nonzero(broadcasters | (pending & nonzero))
-                    )
-                    if worklist_count >= ADAPTIVE_DENSITY_THRESHOLD * scope_count:
-                        # The worklist is most of the scope: run the next
-                        # round dense (delta=False semantics, a superset
-                        # of the sparse evaluation — same fixed point).
-                        broadcasters = None
-                        m_adaptive.inc()
-        else:
-            broadcasters = None
+        broadcasters = changed_vertices & nonzero
+        if adaptive:
+            scope_count = int(np.count_nonzero(nonzero))
+            if scope_count >= ADAPTIVE_MIN_VERTICES:
+                # The round's true worklist: re-broadcasters plus the
+                # witness-loss re-evaluations queued in `pending`
+                # (elimination cascades have *empty* broadcaster sets —
+                # all their work arrives via `pending`).
+                worklist_count = int(
+                    np.count_nonzero(broadcasters | (pending & nonzero))
+                )
+                if worklist_count >= ADAPTIVE_DENSITY_THRESHOLD * scope_count:
+                    # The worklist is most of the scope: run the next
+                    # round dense (a superset of the sparse evaluation
+                    # — same fixed point).
+                    broadcasters = None
+                    m_adaptive.inc()
     return iterations
 
 
@@ -1311,7 +1305,6 @@ def _array_kernel_fixpoint_wide(
     kernel: RoleKernel,
     engine,
     max_iterations: Optional[int] = None,
-    delta: bool = True,
     mandatory_masks: Optional[Dict[int, int]] = None,
     warm_mask: Optional[np.ndarray] = None,
     adaptive: bool = False,
@@ -1534,19 +1527,16 @@ def _array_kernel_fixpoint_wide(
         h_worklist.observe(seed_idx.shape[0])
         if not changed:
             break
-        if delta:
-            broadcasters = changed_vertices & nonzero
-            if adaptive:
-                scope_count = int(np.count_nonzero(nonzero))
-                if scope_count >= ADAPTIVE_MIN_VERTICES:
-                    worklist_count = int(
-                        np.count_nonzero(broadcasters | (pending & nonzero))
-                    )
-                    if worklist_count >= ADAPTIVE_DENSITY_THRESHOLD * scope_count:
-                        broadcasters = None
-                        m_adaptive.inc()
-        else:
-            broadcasters = None
+        broadcasters = changed_vertices & nonzero
+        if adaptive:
+            scope_count = int(np.count_nonzero(nonzero))
+            if scope_count >= ADAPTIVE_MIN_VERTICES:
+                worklist_count = int(
+                    np.count_nonzero(broadcasters | (pending & nonzero))
+                )
+                if worklist_count >= ADAPTIVE_DENSITY_THRESHOLD * scope_count:
+                    broadcasters = None
+                    m_adaptive.inc()
     return iterations
 
 
@@ -1611,13 +1601,12 @@ def array_token_walk(
     skip dedup (``collect_paths``): every completed path is itself the
     match evidence.
 
-    Message accounting mirrors the dict walk's single traversal: one
-    message per alive out-edge of every frontier row (receiver-side drops,
-    as ``ctx.broadcast`` charges), one visit per seeded candidate and per
-    delivered message, flushed as *one* batched round (one barrier, two
-    Safra circuits) at the end.  Dedup legitimately reduces message counts
-    versus the dict walk — fewer live tokens broadcast — so simulated
-    makespans may differ; results never do.
+    Message accounting models one vertex-centric traversal: one message
+    per alive out-edge of every frontier row (receiver-side drops), one
+    visit per seeded candidate and per delivered message, flushed as
+    *one* batched round (one barrier, two termination-detection circuits)
+    at the end.  Dedup reduces message counts — merged rows broadcast
+    once — without changing any result.
     """
     csr = astate.csr
     walk = schedule.walk
@@ -1654,8 +1643,7 @@ def array_token_walk(
     round_started = time.perf_counter() if tracing else None
     accounting = _RoundAccounting(engine, csr)
     accounting.begin()
-    # The dict walk seeds one visitor per candidate (source or not); each
-    # dequeued seed is one visit.
+    # One seed per candidate (source or not); each seed is one visit.
     accounting.add_seed_visits(np.nonzero(astate.vertex_active)[0])
 
     mask_col0 = role_mask[:, hop_words[0]] if wide else role_mask
@@ -1762,30 +1750,6 @@ def array_token_walk(
     return out
 
 
-def run_array_fixpoint(
-    state: SearchState,
-    kernel: RoleKernel,
-    engine,
-    max_iterations: Optional[int] = None,
-    delta: bool = True,
-    mandatory_masks: Optional[Dict[int, int]] = None,
-) -> int:
-    """Round-trip a dict state through the vectorized fixpoint.
-
-    Imports ``state`` into an :class:`ArraySearchState` (kernel bit
-    layout), runs :func:`array_kernel_fixpoint`, and writes the result
-    back in place.  Returns the iteration count.
-    """
-    astate = ArraySearchState.from_search_state(state, roles=kernel.roles)
-    iterations = array_kernel_fixpoint(
-        astate, kernel, engine,
-        max_iterations=max_iterations, delta=delta,
-        mandatory_masks=mandatory_masks,
-    )
-    astate.write_back(state)
-    return iterations
-
-
 __all__ = [
     "ArraySearchState",
     "ArrayWalkOutcome",
@@ -1795,7 +1759,5 @@ __all__ = [
     "array_token_walk",
     "csr_of",
     "pack_bits",
-    "run_array_fixpoint",
-    "supports_array_fixpoint",
     "unpack_bits",
 ]

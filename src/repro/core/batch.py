@@ -437,9 +437,6 @@ class BatchResult:
                     "reuse": cls.num_queries - 1,
                     "aux_views_built": result.aux_views_built if result else 0,
                     "aux_view_reuse": result.aux_view_reuse if result else 0,
-                    "array_fallback_reason": (
-                        result.array_fallback_reason if result else None
-                    ),
                 }
             )
         return {

@@ -19,7 +19,7 @@ key optimization to limit network traffic in later pipeline steps).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Optional, Set, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..runtime.engine import Engine
 from ..graph.graph import canonical_edge
@@ -27,12 +27,7 @@ from .arraystate import (
     ArraySearchState,
     array_kernel_fixpoint,
 )
-from .kernels import (
-    cached_role_kernel,
-    kernel_fixpoint,
-    structural_fingerprint,
-)
-from .lcc import _exchange_candidacies, _has_adjacent_pair
+from .kernels import cached_role_kernel, structural_fingerprint
 from .state import SearchState
 from .template import PatternTemplate
 
@@ -79,21 +74,16 @@ def max_candidate_set(
     graph,
     template: PatternTemplate,
     engine: Engine,
-    role_kernel: bool = True,
-    delta: bool = True,
-    array_state: bool = False,
     memo: Optional[CandidateSetMemo] = None,
     adaptive: bool = False,
 ) -> SearchState:
     """Compute ``M*`` as a :class:`SearchState` over ``graph``.
 
-    ``role_kernel``/``delta``/``array_state`` select the bitmask,
-    semi-naive and vectorized-CSR hot paths; the fixed point is identical
-    either way.  The array path seeds the initial labeling directly in
-    array form and converts to the dict state only at the boundary.
-    ``memo`` (batched runs) returns a cached fixed point for a
+    The fixed point runs vectorized over the CSR: the initial labeling is
+    seeded directly in array form and converted to the dict state only at
+    the boundary.  ``memo`` (batched runs) returns a cached fixed point for a
     structurally-identical template without touching the graph at all.
-    ``adaptive`` (array path only) enables the metrics-driven
+    ``adaptive`` enables the metrics-driven
     dense/sparse round switch of :func:`array_kernel_fixpoint` — the
     full-graph M* fixpoint is where elimination cascades are densest, so
     this is the switch's main beneficiary.
@@ -110,10 +100,7 @@ def max_candidate_set(
     with stats.phase("max_candidate_set"), tracer.span(
         "max_candidate_set"
     ) as span:
-        state = _compute_max_candidate_set(
-            graph, template, engine, role_kernel, delta, array_state,
-            adaptive,
-        )
+        state = _compute_max_candidate_set(graph, template, engine, adaptive)
     if tracer.enabled:
         vertices, edges = state.active_counts()
         span.add(
@@ -131,106 +118,17 @@ def _compute_max_candidate_set(
     graph,
     template: PatternTemplate,
     engine: Engine,
-    role_kernel: bool,
-    delta: bool,
-    array_state: bool,
     adaptive: bool = False,
 ) -> SearchState:
     """Fixpoint body of :func:`max_candidate_set` (caller owns phase/span)."""
-    if role_kernel:
-        kernel = cached_role_kernel(template.graph)
-        mandatory = kernel.mandatory_masks(template.mandatory_edges)
-        if array_state:
-            astate = ArraySearchState.initial(graph, template)
-            array_kernel_fixpoint(
-                astate, kernel, engine,
-                delta=delta, mandatory_masks=mandatory,
-                adaptive=adaptive,
-            )
-            return astate.to_search_state()
-        state = SearchState.initial(graph, template)
-        kernel_fixpoint(
-            state, kernel, engine, delta=delta, mandatory_masks=mandatory
-        )
-        return state
-    state = SearchState.initial(graph, template)
-    mandatory_neighbors = _mandatory_neighbor_map(template)
-    template_graph = template.graph
-    changed = True
-    while changed:
-        received = _exchange_candidacies(state, engine)
-        changed = _apply_round(
-            state, template_graph, mandatory_neighbors, received
-        )
-    return state
-
-
-def _mandatory_neighbor_map(template: PatternTemplate) -> Dict[int, Set[int]]:
-    """Template vertex → the neighbors joined to it by mandatory edges."""
-    mandatory: Dict[int, Set[int]] = {w: set() for w in template.vertices()}
-    for u, v in template.mandatory_edges:
-        mandatory[u].add(v)
-        mandatory[v].add(u)
-    return mandatory
-
-
-def _apply_round(
-    state: SearchState,
-    template_graph,
-    mandatory_neighbors: Dict[int, Set[int]],
-    received: Dict[int, Dict[int, FrozenSet[int]]],
-) -> bool:
-    changed = False
-    new_candidates: Dict[int, Set[int]] = {}
-    for vertex, roles in state.candidates.items():
-        inbox = received.get(vertex, {})
-        active = state.active_edges.get(vertex, ())
-        surviving = set()
-        for role in roles:
-            if _role_viable(
-                role, template_graph, mandatory_neighbors, inbox, active
-            ):
-                surviving.add(role)
-        if surviving != roles:
-            changed = True
-        if surviving:
-            new_candidates[vertex] = surviving
-
-    for vertex in list(state.candidates):
-        if vertex not in new_candidates:
-            state.deactivate_vertex(vertex)
-        else:
-            state.candidates[vertex] = new_candidates[vertex]
-
-    for vertex in list(state.candidates):
-        roles_v = state.candidates[vertex]
-        for nbr in list(state.active_edges.get(vertex, ())):
-            if nbr < vertex and nbr in state.candidates:
-                continue  # the pair is handled from nbr's side
-            roles_u = state.candidates.get(nbr)
-            if not roles_u or not _has_adjacent_pair(template_graph, roles_v, roles_u):
-                state.deactivate_edge(vertex, nbr)
-                changed = True
-    return changed
-
-
-def _role_viable(
-    role: int,
-    template_graph,
-    mandatory_neighbors: Dict[int, Set[int]],
-    inbox: Dict[int, FrozenSet[int]],
-    active_neighbors,
-) -> bool:
-    required_any = template_graph.neighbors(role)
-    if not required_any:  # single-vertex template: label match suffices
-        return True
-    witnessed = set()
-    for nbr in active_neighbors:
-        witnessed.update(inbox.get(nbr, ()))
-    for mandatory in mandatory_neighbors.get(role, ()):
-        if mandatory not in witnessed:
-            return False
-    return bool(required_any & witnessed)
+    kernel = cached_role_kernel(template.graph)
+    astate = ArraySearchState.initial(graph, template)
+    array_kernel_fixpoint(
+        astate, kernel, engine,
+        mandatory_masks=kernel.mandatory_masks(template.mandatory_edges),
+        adaptive=adaptive,
+    )
+    return astate.to_search_state()
 
 
 __all__ = ["CandidateSetMemo", "max_candidate_set", "canonical_edge"]

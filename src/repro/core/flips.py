@@ -187,7 +187,10 @@ def run_flip_pipeline(
         delegate_degree_threshold=options.delegate_degree_threshold,
         ranks_per_node=options.ranks_per_node,
     )
-    mcs_engine = Engine(pgraph, MessageStats(options.num_ranks), options.batch_size)
+    mcs_engine = Engine(
+        pgraph, MessageStats(options.num_ranks), options.batch_size,
+        tracer=options.tracer, metrics=options.metrics,
+    )
     base_state = max_candidate_set(graph, envelope, mcs_engine)
     result.candidate_set_vertices = base_state.num_active_vertices
     result.total_simulated_seconds += options.cost_model.makespan(mcs_engine.stats)
@@ -207,7 +210,10 @@ def run_flip_pipeline(
         )
         state = base_state.for_prototype_search(proto)
         stats = MessageStats(options.num_ranks)
-        engine = Engine(pgraph, stats, options.batch_size)
+        engine = Engine(
+            pgraph, stats, options.batch_size, tracer=options.tracer,
+            metrics=options.metrics,
+        )
         outcome = search_prototype(
             state,
             proto,

@@ -1,30 +1,29 @@
 """Local constraint checking — LCC (Alg. 4).
 
 Iterative pruning: each round, every active vertex broadcasts its candidate
-roles to its active neighbors (one visitor per active edge direction); after
-quiescence each vertex keeps a role only if *every* template-neighbor of
-that role is witnessed by some active neighbor, and edges survive only if
-their endpoints hold template-adjacent roles.  Rounds repeat until nothing
-changes — the fixed point is classic arc consistency over the prototype's
-adjacency structure.
+roles to its active neighbors (one message per active edge direction);
+after the round each vertex keeps a role only if *every* template-neighbor
+of that role is witnessed by some active neighbor, and edges survive only
+if their endpoints hold template-adjacent roles.  Rounds repeat until
+nothing changes — the fixed point is classic arc consistency over the
+prototype's adjacency structure.
 
 For tree prototypes with all-distinct labels this fixed point is provably
 the exact solution subgraph; in general it is a superset that the non-local
 checks (:mod:`~repro.core.nlcc`) reduce further.
+
+The rounds run vectorized over the CSR
+(:func:`~repro.core.arraystate.array_kernel_fixpoint`).
 """
 
 from __future__ import annotations
 
-from typing import AbstractSet, Dict, Optional, Set
+from typing import Optional
 
 from ..graph.graph import Graph
 from ..runtime.engine import Engine
-from ..runtime.visitor import Visitor
-from .arraystate import (
-    array_kernel_fixpoint,
-    run_array_fixpoint,
-)
-from .kernels import RoleKernel, compile_role_kernel, kernel_fixpoint
+from .arraystate import ArraySearchState, array_kernel_fixpoint
+from .kernels import RoleKernel, compile_role_kernel
 from .state import SearchState
 
 
@@ -33,10 +32,7 @@ def local_constraint_checking(
     proto_graph: Graph,
     engine: Engine,
     max_iterations: Optional[int] = None,
-    role_kernel: bool = True,
-    delta: bool = True,
     kernel: Optional[RoleKernel] = None,
-    array_state: bool = False,
     astate=None,
     warm_mask=None,
     adaptive: bool = False,
@@ -45,24 +41,18 @@ def local_constraint_checking(
 
     Returns the number of iterations executed.  ``max_iterations`` bounds
     the loop (useful for ablation experiments); ``None`` runs to fixpoint.
-
-    ``role_kernel`` selects the bitmask hot path (:mod:`~repro.core.kernels`),
-    compiling ``proto_graph`` unless a prepared ``kernel`` is supplied;
-    ``delta`` additionally enables the semi-naive worklist mode, and
-    ``array_state`` the vectorized CSR fixpoint
-    (:mod:`~repro.core.arraystate` — multi-word role masks cover any
-    template width).  All variants reach the same fixed point in the same
-    number of rounds.
+    ``kernel`` is the prototype's compiled
+    :class:`~repro.core.kernels.RoleKernel` (compiled on demand).
 
     Passing a live ``astate`` (level-persistent array mode) runs the
-    vectorized fixpoint directly on it — no dict round trip; ``state`` is
-    left untouched for the caller's final ``write_back``.  ``warm_mask``
-    restricts the first round's broadcast accounting to the vertices whose
-    state actually differs from the parent scope it was derived from (the
+    fixpoint directly on it and leaves ``state`` untouched for the
+    caller's final ``write_back``; without one, ``state`` is converted to
+    array form and written back in place.  ``warm_mask`` restricts the
+    first round's broadcast accounting to the vertices whose state
+    actually differs from the parent scope it was derived from (the
     warm-seeded worklist) — the fixed point and round count are unchanged.
 
-    ``adaptive`` (live-``astate`` path only) enables the metrics-driven
-    dense/sparse round switch in
+    ``adaptive`` enables the metrics-driven dense/sparse round switch in
     :func:`~repro.core.arraystate.array_kernel_fixpoint`; the fixed point
     is unchanged by construction.
 
@@ -70,29 +60,25 @@ def local_constraint_checking(
     inside an ``lcc`` span counting iterations, pruned vertices/edges and
     message traffic (each round contributes its own child span).
     """
-    if kernel is None and role_kernel:
+    if kernel is None:
         kernel = compile_role_kernel(proto_graph)
+    owned = astate is None
+    if owned:
+        astate = ArraySearchState.from_search_state(state, roles=kernel.roles)
     tracer = engine.tracer
     stats = engine.stats
-    counter = astate if astate is not None else state
     if tracer.enabled:
-        before_vertices, before_edges = counter.active_counts()
+        before_vertices, before_edges = astate.active_counts()
         before_messages = stats.total_messages
         before_remote = stats.total_remote_messages
     with stats.phase("lcc"), tracer.span("lcc") as span:
-        if astate is not None:
-            iterations = array_kernel_fixpoint(
-                astate, kernel, engine,
-                max_iterations=max_iterations, delta=delta,
-                warm_mask=warm_mask, adaptive=adaptive,
-            )
-        else:
-            iterations = _run_fixpoint(
-                state, proto_graph, engine, max_iterations, kernel, delta,
-                array_state,
-            )
+        iterations = array_kernel_fixpoint(
+            astate, kernel, engine,
+            max_iterations=max_iterations,
+            warm_mask=warm_mask, adaptive=adaptive,
+        )
     if tracer.enabled:
-        after_vertices, after_edges = counter.active_counts()
+        after_vertices, after_edges = astate.active_counts()
         span.add(
             iterations=iterations,
             vertices_pruned=before_vertices - after_vertices,
@@ -100,161 +86,6 @@ def local_constraint_checking(
             messages=stats.total_messages - before_messages,
             remote_messages=stats.total_remote_messages - before_remote,
         )
+    if owned:
+        astate.write_back(state)
     return iterations
-
-
-def _run_fixpoint(
-    state: SearchState,
-    proto_graph: Graph,
-    engine: Engine,
-    max_iterations: Optional[int],
-    kernel: Optional[RoleKernel],
-    delta: bool,
-    array_state: bool,
-) -> int:
-    """Dispatch to the array / kernel / set-based fixpoint variant."""
-    if kernel is not None:
-        if array_state:
-            return run_array_fixpoint(
-                state, kernel, engine,
-                max_iterations=max_iterations, delta=delta,
-            )
-        return kernel_fixpoint(
-            state, kernel, engine,
-            max_iterations=max_iterations, delta=delta,
-        )
-    iterations = 0
-    while max_iterations is None or iterations < max_iterations:
-        iterations += 1
-        received = _exchange_candidacies(state, engine)
-        if not _apply_round(state, proto_graph, received):
-            break
-    return iterations
-
-
-def _exchange_candidacies(
-    state: SearchState, engine: Engine
-) -> Dict[int, Dict[int, AbstractSet[int]]]:
-    """One traversal: every active vertex sends its roles to its neighbors.
-
-    Returns ``received[v][u] = roles u claimed``, the per-vertex inbox.
-    The live role set is shared as the payload (no per-round ``frozenset``
-    copies): the inbox is fully consumed by the synchronous apply step
-    before any candidate set is rebound, so the alias is never observed
-    after a mutation.
-    """
-    received: Dict[int, Dict[int, AbstractSet[int]]] = {}
-
-    def visit(ctx, visitor: Visitor) -> None:
-        if visitor.payload is None:
-            vertex = visitor.target
-            roles = state.candidates.get(vertex)
-            if not roles:
-                return
-            payload = (vertex, roles)
-            ctx.broadcast(vertex, state.active_edges.get(vertex, ()), payload)
-        else:
-            sender, roles = visitor.payload
-            received.setdefault(visitor.target, {})[sender] = roles
-
-    seeds = (Visitor(v) for v in list(state.candidates))
-    engine.do_traversal(seeds, visit)
-    return received
-
-
-def _apply_round(
-    state: SearchState,
-    proto_graph: Graph,
-    received: Dict[int, Dict[int, AbstractSet[int]]],
-) -> bool:
-    """Synchronous role/edge refinement; returns True if anything changed."""
-    changed = False
-    edge_labeled = proto_graph.has_edge_labels
-    new_candidates: Dict[int, Set[int]] = {}
-    for vertex, roles in state.candidates.items():
-        inbox = received.get(vertex, {})
-        surviving = {
-            role
-            for role in roles
-            if _role_supported(
-                vertex, role, proto_graph, state, inbox, edge_labeled
-            )
-        }
-        if surviving != roles:
-            changed = True
-        if surviving:
-            new_candidates[vertex] = surviving
-
-    for vertex in list(state.candidates):
-        if vertex not in new_candidates:
-            state.deactivate_vertex(vertex)
-        else:
-            state.candidates[vertex] = new_candidates[vertex]
-
-    # Edge elimination: both endpoints must hold template-adjacent roles.
-    for vertex in list(state.candidates):
-        roles_v = state.candidates[vertex]
-        for nbr in list(state.active_edges.get(vertex, ())):
-            if nbr < vertex and nbr in state.candidates:
-                continue  # the pair is handled from nbr's side
-            roles_u = state.candidates.get(nbr)
-            if not roles_u or not _has_adjacent_pair(
-                proto_graph, roles_v, roles_u,
-                state.graph.edge_label(vertex, nbr) if edge_labeled else None,
-                edge_labeled,
-            ):
-                state.deactivate_edge(vertex, nbr)
-                changed = True
-    return changed
-
-
-def _role_supported(
-    vertex: int,
-    role: int,
-    proto_graph: Graph,
-    state: SearchState,
-    inbox: Dict[int, AbstractSet[int]],
-    edge_labeled: bool = False,
-) -> bool:
-    """Every template-neighbor of ``role`` needs an active witness neighbor.
-
-    With an edge-labeled prototype the witness edge must also carry a
-    compatible edge label (template edge label ``None`` matches anything).
-    """
-    active = state.active_edges.get(vertex, ())
-    graph = state.graph
-    for required in proto_graph.neighbors(role):
-        wanted = (
-            proto_graph.edge_label(role, required) if edge_labeled else None
-        )
-        satisfied = False
-        for nbr in active:
-            if required not in inbox.get(nbr, ()):
-                continue
-            if wanted is not None and graph.edge_label(vertex, nbr) != wanted:
-                continue
-            satisfied = True
-            break
-        if not satisfied:
-            return False
-    return True
-
-
-def _has_adjacent_pair(
-    proto_graph: Graph,
-    roles_a: Set[int],
-    roles_b: Set[int],
-    graph_edge_label: "int | None" = None,
-    edge_labeled: bool = False,
-) -> bool:
-    for a in roles_a:
-        common = proto_graph.neighbors(a) & roles_b
-        if not common:
-            continue
-        if not edge_labeled:
-            return True
-        for b in common:
-            wanted = proto_graph.edge_label(a, b)
-            if wanted is None or wanted == graph_edge_label:
-                return True
-    return False

@@ -21,28 +21,21 @@ verified (vertex, role) pairs and traversed edges are recorded so the state
 can be reduced to exactly the solution subgraph, and the number of
 completed tokens equals the number of match mappings (used for counting).
 
-Two executions of the same walk are available:
-
-* the dict token walk below — one Python tuple per token, driven through
-  the engine's visitor callbacks;
-* the batched array frontier (:func:`~repro.core.arraystate.array_token_walk`)
-  — whole token generations as struct-of-arrays advanced one hop per
-  round over the CSR, with per-(vertex, hop, initiator) dedup.  Selected
-  via ``array_nlcc=True`` (per-constraint round trip through the array
-  state) or by passing a live ``astate`` (the level-persistent mode, no
-  conversions).  Results are identical; only message counts may shrink
-  under dedup.
+The walk runs as a batched array frontier
+(:func:`~repro.core.arraystate.array_token_walk`): whole token generations
+as struct-of-arrays advanced one hop per round over the CSR, with
+per-(vertex, hop, initiator) dedup that merges interchangeable token rows
+without changing what the walk concludes.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional, Set, Tuple
 
-from ..graph.graph import canonical_edge
+from ..graph.graph import Graph
 from ..runtime.engine import Engine
-from ..runtime.visitor import Visitor
 from .constraints import FULL_WALK_KIND, NonLocalConstraint
-from .kernels import RoleKernel, candidate_masks, compile_walk_schedule
+from .kernels import RoleKernel, compile_role_kernel, compile_walk_schedule
 from .state import NlccCache, SearchState
 
 
@@ -75,17 +68,16 @@ class NlccResult:
         self.completions = 0
         self.confirmed_roles: Dict[int, Set[int]] = {}
         self.confirmed_edges: Set[Tuple[int, int]] = set()
-        #: backing list for :attr:`completed_mappings`; the dict walk
-        #: appends eagerly, the array walk leaves it None and keeps the
-        #: dense evidence in ``completed_walk``/``completed_paths``
+        #: backing list for :attr:`completed_mappings`; None while the
+        #: dense evidence in ``completed_walk``/``completed_paths`` has not
+        #: been materialized
         self._completed_mappings: Optional[list] = []
-        #: walk role sequence of the dense match evidence (array walk)
+        #: walk role sequence of the dense match evidence
         self.completed_walk: Optional[Tuple[int, ...]] = None
         #: completions-by-walk-length matrix of graph vertex ids, one row
-        #: per completed full-walk token (array walk)
+        #: per completed full-walk token
         self.completed_paths = None
         #: token rows collapsed by the array frontier's canonical fold
-        #: (always 0 on the dict path, which never dedups)
         self.dedup_merged = 0
 
     @property
@@ -93,8 +85,8 @@ class NlccResult:
         """For full walks: one role -> graph-vertex mapping per completed
         token (each completion IS an exact match).
 
-        The array walk stores its completions as a dense path matrix;
-        per-match dicts are materialized from it only on first access,
+        The walk stores its completions as a dense path matrix; per-match
+        dicts are materialized from it only on first access,
         so pipelines that merely count matches never build them.
         """
         if self._completed_mappings is None:
@@ -129,7 +121,6 @@ def non_local_constraint_checking(
     recycle: bool = True,
     kernel: Optional[RoleKernel] = None,
     astate=None,
-    array_nlcc: bool = False,
 ) -> NlccResult:
     """Verify ``constraint`` over ``state`` in place; returns the outcome.
 
@@ -138,243 +129,25 @@ def non_local_constraint_checking(
     Recycling never applies to full walks: their completions double as the
     exact match evidence and must be recomputed per prototype.
 
-    With a compiled ``kernel`` (see :mod:`~repro.core.kernels`), the
-    per-hop role membership test becomes a single bitmask check against a
-    role-mask snapshot taken before the traversal (the state is only
-    mutated afterwards, so the snapshot stays valid throughout).
-
-    ``array_nlcc=True`` (requires a kernel within the mask width) runs the
-    batched array frontier instead, round-tripping ``state`` through an
-    :class:`~repro.core.arraystate.ArraySearchState` per constraint.
-    Passing a live ``astate`` skips the round trip entirely: the array
-    state is treated as authoritative, mutated in place, and ``state`` is
-    left untouched (the caller owns the final ``write_back``).
-    """
-    if kernel is not None and (astate is not None or array_nlcc):
-        return _check_array(
-            state, constraint, engine, cache, recycle, kernel, astate
-        )
-    return _check_dict(state, constraint, engine, cache, recycle, kernel)
-
-
-# ----------------------------------------------------------------------
-# Dict token walk
-# ----------------------------------------------------------------------
-def _check_dict(
-    state: SearchState,
-    constraint: NonLocalConstraint,
-    engine: Engine,
-    cache: Optional[NlccCache],
-    recycle: bool,
-    kernel: Optional[RoleKernel],
-) -> NlccResult:
-    walk = constraint.walk
-    walk_len = len(walk)
-    source_role = constraint.source
-    is_full_walk = constraint.kind == FULL_WALK_KIND
-    use_cache = recycle and cache is not None and not is_full_walk
-    result = NlccResult(constraint)
-    candidates = state.candidates
-    active_edges = state.active_edges
-    schedule = compile_walk_schedule(constraint)
-    same_positions = schedule.same_positions
-    diff_positions = schedule.diff_positions
-    # Per-hop required edge labels (None = any); populated only for
-    # edge-labeled prototypes so the plain hot path stays unchanged.
-    hop_edge_labels = schedule.hop_edge_labels
-    if hop_edge_labels is not None:
-        graph_edge_label = state.graph.edge_label
-
-    # Bitmask fast path: snapshot role masks once; the per-hop role test
-    # is then one AND against the walk position's precompiled bit.
-    vmasks = None
-    if kernel is not None:
-        vmasks = candidate_masks(state, kernel)
-        role_bit = kernel.role_bit
-        source_bit = role_bit[source_role]
-        hop_bits = [role_bit[walk[hop]] for hop in range(walk_len)]
-
-    if kernel is None:
-        def visit(ctx, visitor: Visitor) -> None:
-            if visitor.payload is None:
-                _initiate(ctx, visitor.target)
-            else:
-                _advance(ctx, visitor.target, visitor.payload)
-    else:
-        def visit(ctx, visitor: Visitor) -> None:
-            if visitor.payload is None:
-                _initiate_kernel(ctx, visitor.target)
-            else:
-                _advance_kernel(ctx, visitor.target, visitor.payload)
-
-    def _initiate(ctx, vertex: int) -> None:
-        roles = candidates.get(vertex)
-        if not roles or source_role not in roles:
-            return
-        result.checked.add(vertex)
-        if use_cache and cache.is_satisfied(constraint.key, vertex):
-            result.satisfied.add(vertex)
-            result.recycled.add(vertex)
-            return
-        ctx.broadcast(vertex, active_edges.get(vertex, ()), (vertex,))
-
-    def _advance(ctx, vertex: int, token: Tuple[int, ...]) -> None:
-        hop = len(token)  # position of `vertex` in the walk
-        roles = candidates.get(vertex)
-        if not roles or walk[hop] not in roles:
-            return  # drop token
-        if hop_edge_labels is not None:
-            wanted = hop_edge_labels[hop]
-            if wanted is not None and graph_edge_label(token[-1], vertex) != wanted:
-                return
-        for position in same_positions[hop]:
-            if token[position] != vertex:
-                return
-        for position in diff_positions[hop]:
-            if token[position] == vertex:
-                return
-        extended = token + (vertex,)
-        if hop == walk_len - 1:
-            # Closed walk: the identity check above already forced
-            # vertex == token[0], the initiator.
-            result.completions += 1
-            result.satisfied.add(extended[0])
-            if is_full_walk:
-                _record_match(extended)
-            return
-        ctx.broadcast(vertex, active_edges.get(vertex, ()), extended)
-
-    def _initiate_kernel(ctx, vertex: int) -> None:
-        if not vmasks.get(vertex, 0) & source_bit:
-            return
-        result.checked.add(vertex)
-        if use_cache and cache.is_satisfied(constraint.key, vertex):
-            result.satisfied.add(vertex)
-            result.recycled.add(vertex)
-            return
-        ctx.broadcast(vertex, active_edges.get(vertex, ()), (vertex,))
-
-    def _advance_kernel(ctx, vertex: int, token: Tuple[int, ...]) -> None:
-        hop = len(token)  # position of `vertex` in the walk
-        if not vmasks.get(vertex, 0) & hop_bits[hop]:
-            return  # drop token
-        if hop_edge_labels is not None:
-            wanted = hop_edge_labels[hop]
-            if wanted is not None and graph_edge_label(token[-1], vertex) != wanted:
-                return
-        for position in same_positions[hop]:
-            if token[position] != vertex:
-                return
-        for position in diff_positions[hop]:
-            if token[position] == vertex:
-                return
-        extended = token + (vertex,)
-        if hop == walk_len - 1:
-            result.completions += 1
-            result.satisfied.add(extended[0])
-            if is_full_walk:
-                _record_match(extended)
-            return
-        ctx.broadcast(vertex, active_edges.get(vertex, ()), extended)
-
-    def _record_match(token: Tuple[int, ...]) -> None:
-        mapping = {}
-        for position, vertex in enumerate(token):
-            result.confirmed_roles.setdefault(vertex, set()).add(walk[position])
-            mapping[walk[position]] = vertex
-        for position in range(len(token) - 1):
-            result.confirmed_edges.add(
-                canonical_edge(token[position], token[position + 1])
-            )
-        result.completed_mappings.append(mapping)
-
-    tracer = engine.tracer
-    stats = engine.stats
-    if tracer.enabled:
-        before_messages = stats.total_messages
-        before_remote = stats.total_remote_messages
-    with stats.phase("nlcc"), tracer.span(
-        "nlcc",
-        kind=constraint.kind,
-        source=source_role,
-        walk_length=walk_len,
-    ) as span:
-        seeds = (Visitor(v) for v in list(state.candidates))
-        engine.do_traversal(seeds, visit)
-
-        # Post-processing pushes no messages but belongs to the constraint's
-        # attribution window, so it stays inside the span and stats phase.
-        if is_full_walk:
-            _reduce_to_confirmed(state, result)
-        else:
-            for vertex in result.checked - result.satisfied:
-                state.remove_role(vertex, source_role)
-                result.eliminated_roles += 1
-            if cache is not None:
-                cache.mark_satisfied(
-                    constraint.key, result.satisfied - result.recycled
-                )
-    if use_cache:
-        metrics = engine.metrics
-        metrics.counter("cache.nlcc.hits").inc(len(result.recycled))
-        metrics.counter("cache.nlcc.misses").inc(
-            len(result.checked) - len(result.recycled)
-        )
-    if tracer.enabled:
-        span.add(
-            checked=len(result.checked),
-            satisfied=len(result.satisfied),
-            cache_hits=len(result.recycled),
-            tokens_launched=result.tokens_launched,
-            completions=result.completions,
-            eliminated_roles=result.eliminated_roles,
-            messages=stats.total_messages - before_messages,
-            remote_messages=stats.total_remote_messages - before_remote,
-        )
-    return result
-
-
-def _reduce_to_confirmed(state: SearchState, result: NlccResult) -> None:
-    """Replace the state with exactly the match-confirmed subgraph."""
-    before = state.num_active_vertices
-    for vertex in list(state.candidates):
-        confirmed = result.confirmed_roles.get(vertex)
-        if not confirmed:
-            state.deactivate_vertex(vertex)
-        else:
-            state.candidates[vertex] = set(confirmed)
-    for vertex in list(state.candidates):
-        for nbr in list(state.active_edges.get(vertex, ())):
-            if nbr < vertex:
-                continue
-            if canonical_edge(vertex, nbr) not in result.confirmed_edges:
-                state.deactivate_edge(vertex, nbr)
-    result.eliminated_roles += before - state.num_active_vertices
-
-
-# ----------------------------------------------------------------------
-# Array token frontier
-# ----------------------------------------------------------------------
-def _check_array(
-    state: SearchState,
-    constraint: NonLocalConstraint,
-    engine: Engine,
-    cache: Optional[NlccCache],
-    recycle: bool,
-    kernel: RoleKernel,
-    astate,
-) -> NlccResult:
-    """Run the constraint on the batched array frontier.
-
-    With ``astate=None`` the dict ``state`` is imported, checked, and
-    written back (the per-constraint round-trip mode); otherwise
-    ``astate`` is mutated in place and ``state`` is left stale for the
-    caller's final ``write_back`` (the level-persistent mode).
+    ``kernel`` is the prototype's compiled
+    :class:`~repro.core.kernels.RoleKernel`; when omitted it is compiled
+    from the constraint's prototype graph (or, for a hand-built
+    constraint without one, from its walk).  Passing a live
+    ``astate`` (level-persistent mode) treats the array state as
+    authoritative: it is mutated in place and ``state`` is left untouched
+    for the caller's final ``write_back``.  Without one, ``state`` is
+    converted to array form, checked and written back.
     """
     import numpy as np
 
     from .arraystate import ArraySearchState, array_token_walk
 
+    if kernel is None:
+        kernel = compile_role_kernel(
+            constraint.proto_graph
+            if constraint.proto_graph is not None
+            else _walk_graph(constraint, state)
+        )
     sync_dict = astate is None
     if sync_dict:
         astate = ArraySearchState.from_search_state(state, roles=kernel.roles)
@@ -420,7 +193,7 @@ def _check_array(
         result.dedup_merged = walk_out.dedup_merged
 
         if is_full_walk:
-            _reduce_to_confirmed_array(
+            _reduce_to_confirmed(
                 astate, schedule, kernel, walk_out, result
             )
         else:
@@ -478,10 +251,25 @@ def _check_array(
     return result
 
 
-def _reduce_to_confirmed_array(
+def _walk_graph(constraint: NonLocalConstraint, state: SearchState) -> Graph:
+    """Stand-in prototype graph for a constraint built without one.
+
+    The token walk reads only the kernel's role bit layout, so the walk's
+    hops plus every role held in ``state`` are enough.
+    """
+    graph = Graph()
+    labels = dict(zip(constraint.walk, constraint.labels))
+    for role in sorted(set(constraint.walk).union(*state.candidates.values())):
+        graph.add_vertex(role, labels.get(role, 0))
+    for a, b in zip(constraint.walk, constraint.walk[1:]):
+        graph.add_edge(a, b)
+    return graph
+
+
+def _reduce_to_confirmed(
     astate, schedule, kernel: RoleKernel, walk_out, result: NlccResult
 ) -> None:
-    """Array form of :func:`_reduce_to_confirmed` (full-walk reduction)."""
+    """Reduce ``astate`` to exactly the full walk's confirmed subgraph."""
     import numpy as np
 
     csr = astate.csr
@@ -514,7 +302,7 @@ def _reduce_to_confirmed_array(
                 np.uint64(kernel.role_bit[walk[position]]),
             )
 
-    # Match evidence, identical to the dict walk's _record_match output.
+    # Match evidence: one role -> vertex mapping per completed token.
     # Per-match dicts are NOT built here: the dense vid matrix is the
     # stored form, materialized lazily by NlccResult.completed_mappings
     # (enumeration.matches_from_paths) only if a consumer asks.
@@ -554,12 +342,11 @@ def _reduce_to_confirmed_array(
                 int(confirmed_mask[i])
             )
 
-    # Reduction, mirroring the dict loop exactly: unconfirmed candidates
-    # deactivate (killing their edges both ways); survivors' roles are
-    # replaced by their confirmed set; an unconfirmed alive edge dies only
-    # when examined from its smaller-id endpoint's side with that endpoint
-    # still a candidate — the same asymmetric-aliveness quirk the dict
-    # state preserves.
+    # Reduction: unconfirmed candidates deactivate (killing their edges
+    # both ways); survivors' roles are replaced by their confirmed set; an
+    # unconfirmed alive edge dies only when examined from its smaller-id
+    # endpoint's side with that endpoint still a candidate — the same
+    # asymmetric-aliveness quirk the dict state preserves.
     if wide:
         confirmed_any = (confirmed_mask != np.uint64(0)).any(axis=1)
     else:

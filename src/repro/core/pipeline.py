@@ -68,25 +68,11 @@ class PipelineOptions:
     #: initial vertex-to-rank assignment: "hash" (HavoqGT default) or
     #: "block" (contiguous ids — skew-prone, the no-load-balancing strawman)
     partition_strategy: str = "hash"
-    #: visitors processed per rank before the scheduler rotates
+    #: per-rank scheduling batch of the modeled engine (``Engine.batch_size``);
+    #: rounds are accounted whole, so no result or counter depends on it
     batch_size: int = 64
     #: search-space reduction: compute M* before any search (§3.1)
     use_max_candidate_set: bool = True
-    #: bitmask role kernels for the LCC/NLCC hot paths (results identical)
-    role_kernel: bool = True
-    #: semi-naive (delta/worklist) LCC fixpoint — fewer visitors/messages,
-    #: same fixed point; only effective together with ``role_kernel``
-    delta_lcc: bool = True
-    #: vectorized CSR/bit-vector fixpoint state (core/arraystate) for the
-    #: LCC and M* hot loops — same fixed points, batched visitor payloads;
-    #: only effective together with ``role_kernel``
-    array_state: bool = True
-    #: batched array token frontiers for NLCC (core/arraystate walk), plus
-    #: level-persistent array search state in the in-process pipeline —
-    #: identical results, token storms collapsed by the dedup fold; only
-    #: effective together with ``role_kernel`` and ``array_state``, and
-    #: falls back losslessly to the dict token walk otherwise
-    array_nlcc: bool = True
     #: search-space reduction: containment rule across levels (Obs. 1)
     use_containment: bool = True
     #: redundant work elimination: recycle NLCC results (Obs. 2)
@@ -122,15 +108,11 @@ class PipelineOptions:
     #: parallel (1 = in-process).  Orthogonal to `parallel_deployments`,
     #: which models replica deployments in the simulated cost.
     worker_processes: int = 1
-    #: pooled runs share one graph CSR via a shared-memory segment and
-    #: ship scopes as packed bitmaps (when the array stack is eligible);
-    #: False forces the legacy per-task dict payloads
-    shm_pool: bool = True
     #: GraphMini-style auxiliary pruned graphs: when a level's solution
     #: union has pruned the scope far enough, pack the surviving
     #: adjacency into a compact ``GraphCsr.induced_view`` and run every
-    #: remaining level on the view instead of ``G`` (in-process array
-    #: sweep only; results are bit-identical, original vertex ids are
+    #: remaining level on the view instead of ``G`` (in-process sweep
+    #: only; results are bit-identical, original vertex ids are
     #: preserved)
     aux_views: bool = False
     #: materialize a view only when the union keeps at most this fraction
@@ -146,7 +128,7 @@ class PipelineOptions:
     #: surfaces as ``stats_document["metrics"]`` and ``repro metrics``
     metrics: object = field(default_factory=MetricsRegistry)
     #: metrics-driven adaptive execution: the dense/sparse round switch in
-    #: the array LCC fixpoint and the measured-cost NLCC constraint
+    #: the LCC fixpoint and the measured-cost NLCC constraint
     #: re-sort — both preserve the match set exactly (see
     #: :func:`repro.core.search.search_prototype`)
     adaptive: bool = True
@@ -290,10 +272,7 @@ def _run_bottom_up(
     if options.use_max_candidate_set:
         base_state = max_candidate_set(
             graph, template, mcs_engine,
-            role_kernel=options.role_kernel, delta=options.delta_lcc,
-            array_state=options.array_state,
-            memo=candidate_memo,
-            adaptive=options.adaptive,
+            memo=candidate_memo, adaptive=options.adaptive,
         )
     else:
         base_state = SearchState.initial(graph, template)
@@ -343,17 +322,14 @@ def _run_bottom_up(
         )
 
     # ------------------------------------------------------ level sweep
-    want_matches = options.count_matches or options.collect_matches
     # Per-child stored matches for the enumeration optimization: dense
-    # ArrayMatchSet tables on the array path, per-match dict lists
-    # otherwise (full-walk collections, dict-path searches).
+    # ArrayMatchSet tables, or per-match dict lists for full-walk
+    # collections.
     stored_matches: Dict[int, Any] = {}
-    # The previous level's union lives in whichever form the level that
-    # produced it used — dict (in-process / legacy pooled) or array
-    # (shm-pooled).  Exactly one of the two is non-None after a level;
-    # conversions happen lazily, at most once per level transition.
-    union_prev: Optional[SearchState] = None
-    union_aprev: Optional["ArraySearchState"] = None
+    # The previous level's union: a dict state from an in-process level,
+    # an array state from a pooled one.  It is converted to array form
+    # at most once per level.
+    union_prev: "SearchState | ArraySearchState | None" = None
     deepest = protos.max_distance
 
     # Level-persistent array mode: the scope state (M* / previous level's
@@ -361,23 +337,12 @@ def _run_bottom_up(
     # starting scope is derived in array form (with a warm-seeded first
     # LCC round when it comes from the union), and the whole search runs
     # on that one array state.
-    fallback_reason = array_fallback_reason(template, options)
-    array_level = fallback_reason is None
-    base_astate = None
-    if array_level:
-        from .arraystate import ArraySearchState
+    from .arraystate import ArraySearchState
 
-        template_roles = sorted(template.graph.vertices())
-        base_astate = ArraySearchState.from_search_state(
-            base_state, roles=template_roles
-        )
-    else:
-        result.array_fallback_reason = fallback_reason
-        if tracer.enabled:
-            with tracer.span(
-                "array_fallback", reason=fallback_reason
-            ) as fb_span:
-                fb_span.add(dict_path_levels=deepest + 1)
+    template_roles = sorted(template.graph.vertices())
+    base_astate = ArraySearchState.from_search_state(
+        base_state, roles=template_roles
+    )
 
     pool = None
     if options.worker_processes > 1:
@@ -396,48 +361,29 @@ def _run_bottom_up(
                 level_states: List[SearchState] = []
                 next_stored: Dict[int, Any] = {}
 
+                union_astate = None
+                if isinstance(union_prev, ArraySearchState):
+                    union_astate = union_prev
+                elif union_prev is not None:
+                    # One conversion per level: every prototype scope below
+                    # is derived from this array form without a dict round
+                    # trip.
+                    union_astate = ArraySearchState.from_search_state(
+                        union_prev, roles=template_roles
+                    )
+
                 if pool is not None and len(protos.at(distance)) > 1:
-                    if pool.array_payloads:
-                        assert base_astate is not None
-                        if union_aprev is None and union_prev is not None:
-                            union_aprev = ArraySearchState.from_search_state(
-                                union_prev, roles=template_roles
-                            )
-                        union_aprev = _pooled_level_array(
-                            pool, protos, distance, deepest, base_astate,
-                            union_aprev, options, level, result,
-                        )
-                        union_prev = None
-                        union: "SearchState | ArraySearchState" = union_aprev
-                    else:
-                        if union_prev is None and union_aprev is not None:
-                            union_prev = union_aprev.to_search_state()
-                        union_prev = _pooled_level(
-                            pool, protos, distance, deepest, base_state,
-                            union_prev, options, level, result,
-                        )
-                        union_aprev = None
-                        union = union_prev
+                    union_prev = _pooled_level(
+                        pool, protos, distance, deepest, base_astate,
+                        union_astate, options, level, result,
+                    )
                     _finish_level(
-                        level, result, options, label_frequencies, union,
-                        rebalancing, distance, level_wall, span=level_span,
+                        level, result, options, label_frequencies,
+                        union_prev, rebalancing, distance, level_wall,
+                        span=level_span,
                     )
                     stored_matches = {}
                     continue
-
-                union_astate = None
-                if array_level:
-                    if union_aprev is not None:
-                        union_astate = union_aprev
-                    elif union_prev is not None:
-                        # One conversion per level: every prototype scope below
-                        # is derived from this array form without a dict round
-                        # trip.
-                        union_astate = ArraySearchState.from_search_state(
-                            union_prev, roles=template_roles
-                        )
-                elif union_prev is None and union_aprev is not None:
-                    union_prev = union_aprev.to_search_state()
 
                 for proto in protos.at(distance):
                     extended = None
@@ -451,22 +397,15 @@ def _run_bottom_up(
                             else outcome.matches
                         )
                     else:
-                        array_scope = warm_mask = None
-                        if array_level:
-                            # The dict state is only materialized by the
-                            # search's final write_back.
-                            proto_state = SearchState.empty(graph)
-                            array_scope, warm_mask = _starting_astate(
-                                proto, distance, deepest, base_astate,
-                                union_astate, options,
-                            )
-                            if base_astate.csr.parent is not None:
-                                result.aux_view_reuse += 1
-                        else:
-                            proto_state = _starting_state(
-                                proto, distance, deepest, base_state, union_prev,
-                                options,
-                            )
+                        # The dict state is only materialized by the
+                        # search's final write_back.
+                        proto_state = SearchState.empty(graph)
+                        array_scope, warm_mask = _starting_astate(
+                            proto, distance, deepest, base_astate,
+                            union_astate, options,
+                        )
+                        if base_astate.csr.parent is not None:
+                            result.aux_view_reuse += 1
                         stats = MessageStats(deployment_ranks)
                         engine = Engine(
                             search_pgraph, stats, options.batch_size,
@@ -484,10 +423,6 @@ def _run_bottom_up(
                                 options.collect_matches or options.enumeration_optimization
                             ),
                             verification=options.verification,
-                            role_kernel=options.role_kernel,
-                            delta_lcc=options.delta_lcc,
-                            array_state=options.array_state,
-                            array_nlcc=options.array_nlcc,
                             array_scope=array_scope,
                             warm_mask=warm_mask,
                             adaptive=options.adaptive,
@@ -515,7 +450,6 @@ def _run_bottom_up(
                 for state in level_states:
                     union_dict.union_with(state)
                 union_prev = union_dict
-                union_aprev = None
                 _finish_level(
                     level, result, options, label_frequencies, union_dict,
                     rebalancing, distance, level_wall, span=level_span,
@@ -533,7 +467,6 @@ def _run_bottom_up(
                 # ones.  Views nest as later levels keep pruning.
                 if (
                     options.aux_views
-                    and array_level
                     and pool is None
                     and distance > 0
                     and options.use_containment
@@ -555,8 +488,7 @@ def _run_bottom_up(
                     )
                     graph = view.graph
                     base_astate = base_astate.restrict_to_view(view)
-                    union_aprev = union_arr.restrict_to_view(view)
-                    union_prev = None
+                    union_prev = union_arr.restrict_to_view(view)
                     search_pgraph = PartitionedGraph(
                         graph,
                         deployment_ranks,
@@ -688,48 +620,8 @@ def _pooled_level(
     protos: PrototypeSet,
     distance: int,
     deepest: int,
-    base_state: SearchState,
-    union_prev: Optional[SearchState],
-    options: PipelineOptions,
-    level: LevelReport,
-    result: PipelineResult,
-) -> SearchState:
-    """Execute one level's searches on the pool (legacy dict payloads)."""
-    from ..runtime.parallel import dict_task, payload_to_outcome
-
-    tasks = []
-    for proto in protos.at(distance):
-        scoped = _starting_state(
-            proto, distance, deepest, base_state, union_prev, options
-        )
-        tasks.append(dict_task(proto.id, scoped))
-    union = SearchState.empty(base_state.graph)
-    tracer = options.tracer
-    for payload in pool.search_level(tasks):
-        proto = protos.by_id(payload["proto_id"])
-        outcome = payload_to_outcome(
-            proto, payload, tracer=tracer, metrics=options.metrics
-        )
-        level.outcomes.append(outcome)
-        for vertex in outcome.solution_vertices:
-            result.match_vectors.setdefault(vertex, set()).add(proto.id)
-        # Rebuild the union scope from the exact solution subgraph.
-        for vertex in outcome.solution_vertices:
-            union.candidates.setdefault(vertex, set())
-            union.active_edges.setdefault(vertex, set())
-        for u, v in outcome.solution_edges:
-            union.active_edges.setdefault(u, set()).add(v)
-            union.active_edges.setdefault(v, set()).add(u)
-    return union
-
-
-def _pooled_level_array(
-    pool: "PrototypeSearchPool",
-    protos: PrototypeSet,
-    distance: int,
-    deepest: int,
     base_astate: "ArraySearchState",
-    union_aprev: Optional["ArraySearchState"],
+    union_astate: Optional["ArraySearchState"],
     options: PipelineOptions,
     level: LevelReport,
     result: PipelineResult,
@@ -739,8 +631,8 @@ def _pooled_level_array(
     Scopes are cut by :func:`_starting_astate` and shipped as packed
     bitmaps over the pool's shared CSR — no dict ``SearchState`` is ever
     materialized on this path.  Workers return packed solution bitmaps
-    that are OR-ed into an array-form union whose role masks stay zero,
-    exactly like the dict pooled union's empty candidate role sets.
+    that are OR-ed into an array-form union whose role masks stay zero
+    (the next level re-derives roles from labels when it scopes).
     """
     from ..runtime.parallel import array_task, payload_to_outcome
     from .arraystate import ArraySearchState, unpack_bits
@@ -748,7 +640,7 @@ def _pooled_level_array(
     tasks = []
     for proto in protos.at(distance):
         scoped, warm_mask = _starting_astate(
-            proto, distance, deepest, base_astate, union_aprev, options
+            proto, distance, deepest, base_astate, union_astate, options
         )
         tasks.append(array_task(proto.id, scoped, warm_mask))
     csr = base_astate.csr
@@ -768,34 +660,6 @@ def _pooled_level_array(
     return union
 
 
-def array_fallback_reason(
-    template: PatternTemplate, options: PipelineOptions
-) -> Optional[str]:
-    """Why this run cannot keep level state in array form, or ``None``.
-
-    Only the explicit option switches remain: the array path is total —
-    multi-word role masks cover any template width, naive mode starts
-    from ``ArraySearchState.initial``, and the enumeration optimization
-    chains dense :class:`~repro.core.enumeration.ArrayMatchSet` tables —
-    so a run leaves array form only when the caller turned a stage of the
-    array stack off (role kernel + array LCC + array NLCC).  Batched runs
-    surface the returned string per class member so a library compile can
-    report exactly which templates lost the fast path.
-    """
-    if not options.role_kernel:
-        return "role_kernel disabled"
-    if not options.array_state:
-        return "array_state disabled"
-    if not options.array_nlcc:
-        return "array_nlcc disabled"
-    return None
-
-
-def _array_level_eligible(template: PatternTemplate, options: PipelineOptions) -> bool:
-    """Whether the in-process sweep can keep search state in array form."""
-    return array_fallback_reason(template, options) is None
-
-
 def _starting_astate(
     proto: Prototype,
     distance: int,
@@ -811,8 +675,7 @@ def _starting_astate(
     actually differs from that union (activity changes plus endpoints of
     aliveness changes) — the surviving worklist that seeds the first LCC
     round's broadcast accounting instead of a cold full broadcast.  Scopes
-    cut fresh from M* keep the cold broadcast (``warm_mask=None``), like
-    the dict pipeline.
+    cut fresh from M* keep the cold broadcast (``warm_mask=None``).
     """
     import numpy as np
 
@@ -826,9 +689,8 @@ def _starting_astate(
     )
     if not use_union:
         if not options.use_max_candidate_set:
-            # Naive mode: a fresh, fully-unpruned array state per
-            # prototype — the same full-adjacency start the dict path's
-            # ``SearchState.initial`` pays, in array form.
+            # Naive mode: a fresh, fully-unpruned state per prototype --
+            # the per-prototype re-pruning cost the pipeline avoids.
             return (
                 ArraySearchState.initial(base_astate.graph, proto.graph),
                 None,
@@ -847,34 +709,6 @@ def _starting_astate(
     return scoped, warm
 
 
-def _starting_state(
-    proto: Prototype,
-    distance: int,
-    deepest: int,
-    base_state: SearchState,
-    union_prev: Optional[SearchState],
-    options: PipelineOptions,
-) -> SearchState:
-    """Scope for one prototype search, per the containment rule."""
-    use_union = (
-        options.use_containment
-        and distance < deepest
-        and union_prev is not None
-        and proto.child_links
-    )
-    if not use_union:
-        if not options.use_max_candidate_set:
-            # Naive mode: a fresh, fully-unpruned state per prototype --
-            # the per-prototype re-pruning cost the pipeline avoids.
-            return SearchState.initial(base_state.graph, proto.graph)
-        return base_state.for_prototype_search(proto)
-    link = proto.child_links[0]
-    a, b = link.removed_edge
-    template_graph = proto.template.graph
-    pair = (template_graph.label(a), template_graph.label(b))
-    return union_prev.for_prototype_search(proto, readmit_label_pairs=[pair])
-
-
 def _try_extension(
     proto: Prototype,
     stored_matches: Dict[int, Any],
@@ -882,11 +716,10 @@ def _try_extension(
 ) -> Optional[Tuple[PrototypeSearchOutcome, SearchState]]:
     """Derive this prototype's result from a child's stored matches (§4).
 
-    Children searched on the array path store dense
+    Children whose matches were enumerated store dense
     :class:`~repro.core.enumeration.ArrayMatchSet` tables; those extend
     through the batched array probe and keep the chain in array form.
-    Dict match lists (full-walk collections, dict-path searches) use the
-    per-match probe.
+    Dict match lists (full-walk collections) use the per-match probe.
     """
     from .enumeration import ArrayMatchSet, extend_from_child_matches_array
 

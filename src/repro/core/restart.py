@@ -105,10 +105,7 @@ def run_pipeline_with_checkpoints(
         )
         if options.use_max_candidate_set:
             base_state = max_candidate_set(
-                graph, template, engine,
-                role_kernel=options.role_kernel, delta=options.delta_lcc,
-                array_state=options.array_state,
-                adaptive=options.adaptive,
+                graph, template, engine, adaptive=options.adaptive
             )
         else:
             base_state = SearchState.initial(graph, template)
@@ -254,10 +251,6 @@ def _sweep(
                     count_matches=options.count_matches,
                     collect_matches=options.collect_matches,
                     verification=options.verification,
-                    role_kernel=options.role_kernel,
-                    delta_lcc=options.delta_lcc,
-                    array_state=options.array_state,
-                    array_nlcc=options.array_nlcc,
                     adaptive=options.adaptive,
                     constraint_costs=options.constraint_costs,
                 )

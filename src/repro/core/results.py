@@ -125,8 +125,6 @@ class PipelineResult:
         #: NLCC work-recycling cache counters (empty when recycling is off):
         #: hits/misses plus the cache's constraint and vertex-entry sizes
         self.nlcc_cache_stats: Dict[str, int] = {}
-        #: why the run fell back to the dict level sweep (None = array path)
-        self.array_fallback_reason: Optional[str] = None
         #: auxiliary pruned-view accounting (options.aux_views):
         #: views materialized, prototype searches that started on a view,
         #: and each view's (vertices, edges) size
@@ -257,7 +255,6 @@ class PipelineResult:
             ],
             "nlcc": self.nlcc_totals(),
             "nlcc_cache": dict(self.nlcc_cache_stats),
-            "array_fallback_reason": self.array_fallback_reason,
             "aux_views": {
                 "built": self.aux_views_built,
                 "reuse": self.aux_view_reuse,

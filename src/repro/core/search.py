@@ -10,6 +10,10 @@
    match mappings as a by-product), the prototype is a distinct-labeled
    tree (LCC fixed point is provably exact), or — when the caller disabled
    the full walk — an enumeration-based verification pass.
+
+The whole body runs on one :class:`~repro.core.arraystate.ArraySearchState`
+(every LCC fixpoint and token walk in array form) with a single
+``write_back`` into the dict state at the end.
 """
 
 from __future__ import annotations
@@ -21,11 +25,8 @@ from ..runtime.engine import Engine
 from .constraints import FULL_WALK_KIND, ConstraintSet
 from .enumeration import (
     astate_from_matches,
-    count_match_mappings,
     distinct_match_count,
-    enumerate_matches,
     enumerate_matches_array,
-    state_from_matches,
 )
 from .arraystate import ArraySearchState
 from .kernels import cached_role_kernel
@@ -47,10 +48,6 @@ def search_prototype(
     count_matches: bool = False,
     collect_matches: bool = False,
     verification: str = "auto",
-    role_kernel: bool = True,
-    delta_lcc: bool = True,
-    array_state: bool = False,
-    array_nlcc: bool = False,
     array_scope: Optional[ArraySearchState] = None,
     warm_mask=None,
     adaptive: bool = False,
@@ -67,18 +64,13 @@ def search_prototype(
     * ``"constraints"`` — never enumerate; the outcome's ``exact`` flag
       reports whether the constraint set alone guarantees exactness.
 
-    ``role_kernel`` compiles the prototype once into bitmask tables shared
-    by every LCC re-run and NLCC traversal of this search; ``delta_lcc``
-    enables the semi-naive LCC worklist and ``array_state`` the vectorized
-    CSR fixpoint.  All preserve results exactly.
-
-    With both ``array_state`` and ``array_nlcc`` (and a kernel within the
-    mask width) the whole search body runs on one persistent
-    :class:`~repro.core.arraystate.ArraySearchState` — every LCC fixpoint
-    and token walk in array form, one ``write_back`` into ``state`` at the
-    end.  ``array_scope`` supplies that array state pre-built by the caller
-    (the level-persistent mode); it is mutated in place and kept in sync
-    with ``state`` even through an enumeration-verification reduction.
+    The prototype is compiled once into bitmask tables shared by every
+    LCC re-run and NLCC traversal of this search.  The search body runs on
+    one persistent :class:`~repro.core.arraystate.ArraySearchState`,
+    converted from ``state`` unless ``array_scope`` supplies it pre-built
+    (the level-persistent mode); it is mutated in place and written back
+    into ``state`` once at the end, even through an
+    enumeration-verification reduction.
     ``warm_mask`` warm-seeds the first LCC round's broadcast accounting
     (see :func:`~repro.core.lcc.local_constraint_checking`).
 
@@ -105,9 +97,8 @@ def search_prototype(
     ) as span:
         _search_prototype_body(
             state, prototype, constraint_set, engine, cache, recycle,
-            count_matches, collect_matches, verification, role_kernel,
-            delta_lcc, array_state, array_nlcc, array_scope, warm_mask,
-            adaptive, constraint_costs, outcome,
+            count_matches, collect_matches, verification, array_scope,
+            warm_mask, adaptive, constraint_costs, outcome,
         )
     if tracer.enabled:
         span.add(
@@ -134,10 +125,6 @@ def _search_prototype_body(
     count_matches: bool,
     collect_matches: bool,
     verification: str,
-    role_kernel: bool,
-    delta_lcc: bool,
-    array_state: bool,
-    array_nlcc: bool,
     array_scope: Optional[ArraySearchState],
     warm_mask,
     adaptive: bool,
@@ -145,33 +132,19 @@ def _search_prototype_body(
     outcome: PrototypeSearchOutcome,
 ) -> None:
     """Alg. 2 body; fills ``outcome`` (timing is the caller's job)."""
-    kernel = cached_role_kernel(prototype.graph) if role_kernel else None
-    astate = None
-    if kernel is not None and array_state and array_nlcc:
-        # Persistent array mode: LCC and NLCC share one array state for
-        # the whole search, written back to the dict state exactly once.
-        if array_scope is not None:
-            astate = array_scope
-        else:
-            astate = ArraySearchState.from_search_state(
-                state, roles=kernel.roles
-            )
-    elif array_scope is not None:
-        # Caller prepared an array scope but this search can't run in
-        # array form (e.g. the kernel is off) — materialize it so the
-        # dict path sees the real starting state.
-        array_scope.write_back(state)
-    counter = astate if astate is not None else state
+    kernel = cached_role_kernel(prototype.graph)
+    if array_scope is not None:
+        astate = array_scope
+    else:
+        astate = ArraySearchState.from_search_state(state, roles=kernel.roles)
     outcome.lcc_iterations = local_constraint_checking(
-        state, prototype.graph, engine,
-        role_kernel=role_kernel, delta=delta_lcc, kernel=kernel,
-        array_state=array_state, astate=astate, warm_mask=warm_mask,
-        adaptive=adaptive,
+        state, prototype.graph, engine, kernel=kernel, astate=astate,
+        warm_mask=warm_mask, adaptive=adaptive,
     )
     (
         outcome.post_lcc_vertices,
         outcome.post_lcc_edges,
-    ) = counter.active_counts()
+    ) = astate.active_counts()
 
     non_local = constraint_set.non_local
     if adaptive and constraint_costs is not None:
@@ -185,12 +158,12 @@ def _search_prototype_body(
     full_walk_completions = 0
     full_walk_result = None
     for constraint in non_local:
-        if not counter.num_active_vertices:
+        if not astate.num_active_vertices:
             break
         constraint_started = time.perf_counter() if timing else 0.0
         result = non_local_constraint_checking(
             state, constraint, engine, cache=cache, recycle=recycle,
-            kernel=kernel, astate=astate, array_nlcc=array_nlcc,
+            kernel=kernel, astate=astate,
         )
         if timing:
             wall = time.perf_counter() - constraint_started
@@ -205,69 +178,45 @@ def _search_prototype_body(
         if constraint.kind == FULL_WALK_KIND:
             full_walk_ran = True
             full_walk_completions = result.completions
-            # Keep the whole result: the array walk stores completions
-            # as a dense path matrix, and reading .completed_mappings
+            # Keep the whole result: the walk stores completions as a
+            # dense path matrix, and reading .completed_mappings
             # here would materialize per-match dicts even when no one
             # collects them.
             full_walk_result = result
         elif result.changed:
             outcome.lcc_iterations += local_constraint_checking(
-                state, prototype.graph, engine,
-                role_kernel=role_kernel, delta=delta_lcc, kernel=kernel,
-                array_state=array_state, astate=astate, adaptive=adaptive,
+                state, prototype.graph, engine, kernel=kernel, astate=astate,
+                adaptive=adaptive,
             )
 
     constraints_exact = full_walk_ran or constraint_set.exact_without_full_walk
     need_enumeration = verification == "enumeration" or (
         verification == "auto" and not constraints_exact
     )
-    if astate is not None:
-        # Array-native tail: enumeration (when needed) runs the vectorized
-        # frontier backtracker on the array state directly and reduces it
-        # in place, so the single write_back below is the only dict
-        # materialization of the whole search.
-        if need_enumeration:
-            match_set = enumerate_matches_array(prototype, astate)
-            astate_from_matches(astate, prototype, match_set)
-            outcome.match_mappings = len(match_set)
-            if collect_matches:
-                outcome.matches = match_set.mappings()
-                outcome.match_set = match_set
-        elif collect_matches:
-            if full_walk_ran:
-                # Each completed full-walk token already is an exact match.
-                outcome.matches = full_walk_result.completed_mappings
-            else:
-                match_set = enumerate_matches_array(prototype, astate)
-                outcome.matches = match_set.mappings()
-                outcome.match_set = match_set
-            outcome.match_mappings = len(outcome.matches)
-        elif full_walk_ran:
-            outcome.match_mappings = full_walk_completions
-        elif count_matches:
-            outcome.match_mappings = len(
-                enumerate_matches_array(prototype, astate)
-            )
-        astate.write_back(state)
-    elif collect_matches and not need_enumeration:
+    # Enumeration (when needed) runs the vectorized frontier backtracker
+    # on the array state directly and reduces it in place, so the single
+    # write_back below is the only dict materialization of the search.
+    if need_enumeration:
+        match_set = enumerate_matches_array(prototype, astate)
+        astate_from_matches(astate, prototype, match_set)
+        outcome.match_mappings = len(match_set)
+        if collect_matches:
+            outcome.matches = match_set.mappings()
+            outcome.match_set = match_set
+    elif collect_matches:
         if full_walk_ran:
             # Each completed full-walk token already is an exact match.
             outcome.matches = full_walk_result.completed_mappings
         else:
-            outcome.matches = list(enumerate_matches(prototype, state))
+            match_set = enumerate_matches_array(prototype, astate)
+            outcome.matches = match_set.mappings()
+            outcome.match_set = match_set
         outcome.match_mappings = len(outcome.matches)
-    elif need_enumeration:
-        matches = list(enumerate_matches(prototype, state))
-        reduced = state_from_matches(state, prototype, matches)
-        state.candidates = reduced.candidates
-        state.active_edges = reduced.active_edges
-        outcome.match_mappings = len(matches)
-        if collect_matches:
-            outcome.matches = matches
     elif full_walk_ran:
         outcome.match_mappings = full_walk_completions
     elif count_matches:
-        outcome.match_mappings = count_match_mappings(prototype, state)
+        outcome.match_mappings = len(enumerate_matches_array(prototype, astate))
+    astate.write_back(state)
 
     outcome.exact = constraints_exact or need_enumeration
     if outcome.match_mappings is not None and (count_matches or collect_matches):

@@ -275,7 +275,7 @@ class NlccCache:
 
         The array token walk tests a whole initiator frontier against the
         cache in one gather; this keeps its counter totals identical to
-        the dict path's one :meth:`is_satisfied` call per checked vertex.
+        one :meth:`is_satisfied` call per checked vertex.
         """
         self.hits += hits
         self.misses += misses

@@ -21,10 +21,11 @@ from ..graph.graph import Graph
 from ..runtime.engine import Engine
 from ..runtime.messages import MessageStats
 from ..runtime.partition import PartitionedGraph
+from .arraystate import ArraySearchState
 from .candidate_set import max_candidate_set
 from .constraints import generate_constraints
 from .ordering import order_constraints
-from .pipeline import PipelineOptions, _array_level_eligible, merge_message_stats
+from .pipeline import PipelineOptions, merge_message_stats
 from .prototypes import generate_prototypes
 from .results import LevelReport, PipelineResult
 from .search import search_prototype
@@ -88,10 +89,7 @@ def _run_exploratory(
         metrics=options.metrics,
     )
     base_state = max_candidate_set(
-        graph, template, mcs_engine,
-        role_kernel=options.role_kernel, delta=options.delta_lcc,
-        array_state=options.array_state,
-        adaptive=options.adaptive,
+        graph, template, mcs_engine, adaptive=options.adaptive
     )
 
     result = PipelineResult(template.name, max_k, protos)
@@ -104,13 +102,9 @@ def _run_exploratory(
 
     # Every exploratory scope derives from M*: convert it to array form
     # once and cut each prototype's scope directly in array form.
-    base_astate = None
-    if _array_level_eligible(template, options):
-        from .arraystate import ArraySearchState
-
-        base_astate = ArraySearchState.from_search_state(
-            base_state, roles=sorted(template.graph.vertices())
-        )
+    base_astate = ArraySearchState.from_search_state(
+        base_state, roles=sorted(template.graph.vertices())
+    )
 
     pool = None
     if options.worker_processes > 1:
@@ -127,14 +121,14 @@ def _run_exploratory(
                 level = LevelReport(distance)
                 if pool is not None and len(protos.at(distance)) > 1:
                     _pooled_exploratory_level(
-                        pool, protos, distance, base_state, base_astate,
-                        options, level, result,
+                        pool, protos, distance, base_astate, options, level,
+                        result,
                     )
                 else:
                     _inline_exploratory_level(
-                        graph, pgraph, protos, distance, base_state,
-                        base_astate, label_frequencies, cache, options,
-                        level, result, all_stats,
+                        graph, pgraph, protos, distance, base_astate,
+                        label_frequencies, cache, options, level, result,
+                        all_stats,
                     )
                 level.search_seconds = sum(
                     o.simulated_seconds for o in level.outcomes
@@ -184,8 +178,7 @@ def _inline_exploratory_level(
     pgraph: PartitionedGraph,
     protos,
     distance: int,
-    base_state: SearchState,
-    base_astate,
+    base_astate: ArraySearchState,
     label_frequencies: Dict[int, int],
     cache: Optional[NlccCache],
     options: PipelineOptions,
@@ -205,12 +198,7 @@ def _inline_exploratory_level(
             label_frequencies,
             optimize=options.constraint_ordering,
         )
-        if base_astate is not None:
-            state = SearchState.empty(graph)
-            array_scope = base_astate.for_prototype_search(proto)
-        else:
-            state = base_state.for_prototype_search(proto)
-            array_scope = None
+        state = SearchState.empty(graph)
         stats = MessageStats(options.num_ranks)
         engine = Engine(
             pgraph, stats, options.batch_size, tracer=tracer,
@@ -226,11 +214,7 @@ def _inline_exploratory_level(
             count_matches=options.count_matches,
             collect_matches=options.collect_matches,
             verification=options.verification,
-            role_kernel=options.role_kernel,
-            delta_lcc=options.delta_lcc,
-            array_state=options.array_state,
-            array_nlcc=options.array_nlcc,
-            array_scope=array_scope,
+            array_scope=base_astate.for_prototype_search(proto),
             adaptive=options.adaptive,
             constraint_costs=options.constraint_costs,
         )
@@ -247,8 +231,7 @@ def _pooled_exploratory_level(
     pool,
     protos,
     distance: int,
-    base_state: SearchState,
-    base_astate,
+    base_astate: ArraySearchState,
     options: PipelineOptions,
     level: LevelReport,
     result: PipelineResult,
@@ -256,24 +239,17 @@ def _pooled_exploratory_level(
     """Search one exploratory level on the worker pool.
 
     Every scope is cut fresh from M* (no cross-level unions top-down), so
-    warm seeds never apply; with an array-eligible pool the scopes ship
-    as packed bitmaps over the shared CSR, otherwise as legacy dict
-    payloads.  Workers generate their own constraint sets at init.  Like
+    warm seeds never apply; the scopes ship as packed bitmaps over the
+    shared CSR.  Workers generate their own constraint sets at init.  Like
     the bottom-up pooled path, worker message traces fold into the
     per-outcome totals but not ``result.message_summary``.
     """
-    from ..runtime.parallel import array_task, dict_task, payload_to_outcome
+    from ..runtime.parallel import array_task, payload_to_outcome
 
-    tasks = []
-    for proto in protos.at(distance):
-        if base_astate is not None and pool.array_payloads:
-            tasks.append(
-                array_task(proto.id, base_astate.for_prototype_search(proto))
-            )
-        else:
-            tasks.append(
-                dict_task(proto.id, base_state.for_prototype_search(proto))
-            )
+    tasks = [
+        array_task(proto.id, base_astate.for_prototype_search(proto))
+        for proto in protos.at(distance)
+    ]
     tracer = options.tracer
     for payload in pool.search_level(tasks):
         proto = protos.by_id(payload["proto_id"])

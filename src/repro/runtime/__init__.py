@@ -1,29 +1,26 @@
 """Simulated HavoqGT-style distributed runtime.
 
 In-process reproduction of the MPI substrate the paper builds on: hash and
-delegate partitioning, an asynchronous vertex-centric visitor engine with
-quiescence detection, message accounting (local / remote / cross-network),
-a parallel cost model, load balancing, and checkpointing.
+delegate partitioning, a vertex-centric engine that accounts each batched
+round's messages (local / remote / cross-network) and barriers, a parallel
+cost model, load balancing, and checkpointing.
 """
 
 from .balance import rebalance_cost, reload_on, reshuffle
 from .checkpoint import load_checkpoint, save_checkpoint
-from .engine import Context, Engine
+from .engine import Engine
 from .messages import CostModel, MessageStats, PhaseCounters
-from .parallel import PrototypeSearchPool, state_to_payload
+from .parallel import PrototypeSearchPool
 from .partition import (
     PartitionedGraph,
     balanced_assignment,
     block_assignment,
     hash_assignment,
 )
-from .quiescence import SafraDetector
 from .store import DistributedGraphStore, RankShard
 from .trace import NULL_TRACER, NullTracer, Span, Tracer
-from .visitor import Visitor
 
 __all__ = [
-    "Context",
     "CostModel",
     "Engine",
     "MessageStats",
@@ -34,10 +31,8 @@ __all__ = [
     "DistributedGraphStore",
     "PrototypeSearchPool",
     "RankShard",
-    "SafraDetector",
     "Span",
     "Tracer",
-    "Visitor",
     "balanced_assignment",
     "block_assignment",
     "hash_assignment",
@@ -46,5 +41,4 @@ __all__ = [
     "reload_on",
     "reshuffle",
     "save_checkpoint",
-    "state_to_payload",
 ]

@@ -10,20 +10,13 @@ zero-copy by every worker), rebuilds the prototype set deterministically,
 and keeps its own NLCC work-recycling cache across the tasks it serves —
 exactly the sharing a physical replica would have.
 
-Tasks ship as :class:`PoolTask` wire objects in one of two payload kinds:
-
-* ``"array"`` — two ``np.packbits`` bitmaps (active vertices, alive
-  directed edges) cut straight from the level scope's
-  :class:`~repro.core.arraystate.ArraySearchState`; the worker re-derives
-  the uint64 role masks from the prototype's labels (bit-identical, see
-  ``ArraySearchState.from_scope_payload``) and runs the search without
-  ever materializing a dict state.  Results return as packed solution
-  bitmaps the parent ORs into the level union.
-* ``"dict"`` — the legacy ``(candidates, edges)`` lists, used when the
-  array stack is off, the template exceeds the 64-bit mask width, or
-  ``options.shm_pool`` is disabled.  Candidate role sets ship unsorted;
-  determinism comes from :meth:`PrototypeSearchPool.search_level`
-  returning results in task order, not from payload ordering.
+Tasks ship as :class:`PoolTask` wire objects: two ``np.packbits`` bitmaps
+(active vertices, alive directed edges) cut straight from the level
+scope's :class:`~repro.core.arraystate.ArraySearchState`; the worker
+re-derives the uint64 role masks from the prototype's labels
+(bit-identical, see ``ArraySearchState.from_scope_payload``) and runs the
+search without ever materializing a dict state.  Results return as packed
+solution bitmaps the parent ORs into the level union, in task order.
 
 Results are identical to sequential execution (outcomes are pure
 functions of the shipped starting scope); only wall-clock changes.
@@ -42,7 +35,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from ..core.pipeline import PipelineOptions
     from ..core.prototypes import Prototype
     from ..core.results import PrototypeSearchOutcome
-    from ..core.state import SearchState
     from ..core.template import PatternTemplate
     from ..graph.graph import Graph
     from .shm import SharedCsrHandle
@@ -55,31 +47,26 @@ _WORKER: Dict[str, Any] = {}
 class PoolTask:
     """One prototype-search work item in wire form.
 
-    ``kind`` selects the payload format: ``"array"`` carries
-    ``(vertex_bits, edge_bits, warm_bits_or_None)`` packed bitmaps over
-    the shared CSR, ``"dict"`` carries the legacy
-    ``(candidates, edges)`` lists.  ``units`` is the scope size
+    ``data`` carries ``(vertex_bits, edge_bits, warm_bits_or_None)``
+    packed bitmaps over the shared CSR.  ``units`` is the scope size
     (active vertices + canonical active edges), precomputed at pack time
-    so LPT ordering costs the same regardless of payload format.
+    for LPT ordering.
     """
 
-    __slots__ = ("proto_id", "kind", "data", "units")
+    __slots__ = ("proto_id", "data", "units")
 
     def __init__(
-        self, proto_id: int, kind: str, data: Tuple[Any, ...], units: int
+        self, proto_id: int, data: Tuple[Any, ...], units: int
     ) -> None:
         self.proto_id = proto_id
-        self.kind = kind
         self.data = data
         self.units = units
 
-    def __getstate__(self) -> Tuple[int, str, Tuple[Any, ...], int]:
-        return (self.proto_id, self.kind, self.data, self.units)
+    def __getstate__(self) -> Tuple[int, Tuple[Any, ...], int]:
+        return (self.proto_id, self.data, self.units)
 
-    def __setstate__(
-        self, state: Tuple[int, str, Tuple[Any, ...], int]
-    ) -> None:
-        self.proto_id, self.kind, self.data, self.units = state
+    def __setstate__(self, state: Tuple[int, Tuple[Any, ...], int]) -> None:
+        self.proto_id, self.data, self.units = state
 
 
 def array_task(
@@ -87,24 +74,13 @@ def array_task(
     scope: "ArraySearchState",
     warm_mask: Optional[Any] = None,
 ) -> PoolTask:
-    """Pack an array scope cut into an ``"array"`` :class:`PoolTask`."""
+    """Pack an array scope cut into a :class:`PoolTask`."""
     from ..core.arraystate import pack_bits
 
     vertex_bits, edge_bits = scope.scope_payload()
     warm_bits = None if warm_mask is None else pack_bits(warm_mask)
     vertices, edges = scope.active_counts()
-    return PoolTask(
-        proto_id, "array", (vertex_bits, edge_bits, warm_bits),
-        vertices + edges,
-    )
-
-
-def dict_task(proto_id: int, state: "SearchState") -> PoolTask:
-    """Pack a dict scope into a legacy ``"dict"`` :class:`PoolTask`."""
-    candidates, edges = state_to_payload(state)
-    return PoolTask(
-        proto_id, "dict", (candidates, edges), len(candidates) + len(edges)
-    )
+    return PoolTask(proto_id, (vertex_bits, edge_bits, warm_bits), vertices + edges)
 
 
 def _init_worker(
@@ -112,27 +88,25 @@ def _init_worker(
     template: "PatternTemplate",
     k: int,
     options: "PipelineOptions",
-    shm_handle: Optional["SharedCsrHandle"] = None,
+    shm_handle: "SharedCsrHandle",
 ) -> None:
     """Runs once per worker process: build the shared per-replica state.
 
-    When the pool exported the graph's CSR to shared memory, the worker
-    attaches to the segment and installs the zero-copy view as the
-    graph's memoized CSR, so every ``csr_of(graph)`` in the search stack
-    reads the one shared copy.
+    The worker attaches to the pool's shared-memory segment and installs
+    the zero-copy view as the graph's memoized CSR, so every
+    ``csr_of(graph)`` in the search stack reads the one shared copy.
     """
     from ..core.constraints import generate_constraints
     from ..core.ordering import order_constraints
     from ..core.prototypes import generate_prototypes
     from ..core.state import NlccCache
 
-    if shm_handle is not None:
-        from .shm import attach_shared_csr
+    from .shm import attach_shared_csr
 
-        try:
-            graph._csr_cache = attach_shared_csr(shm_handle, graph)
-        except (FileNotFoundError, OSError):  # pragma: no cover - attach race
-            pass  # csr_of() rebuilds locally; results are unaffected
+    try:
+        graph._csr_cache = attach_shared_csr(shm_handle, graph)
+    except (FileNotFoundError, OSError):  # pragma: no cover - attach race
+        pass  # csr_of() rebuilds locally; results are unaffected
 
     label_frequencies = graph.label_counts()
     protos = generate_prototypes(template, k, options.max_prototypes)
@@ -159,11 +133,11 @@ def _init_worker(
 def _search_task(task: PoolTask) -> Dict[str, Any]:
     """Search one prototype inside a worker; returns a plain-data outcome.
 
-    ``"array"`` tasks reconstruct an :class:`ArraySearchState` over the
-    attached shared CSR and hand it to :func:`search_prototype` as the
+    The task's bitmaps become an :class:`ArraySearchState` over the
+    attached shared CSR, handed to :func:`search_prototype` as the
     ``array_scope`` — the dict state stays empty until the search's final
-    write-back.  Their result payload additionally carries packed
-    solution bitmaps (``solution_bits``) for the parent's level union.
+    write-back.  The result payload carries packed solution bitmaps
+    (``solution_bits``) for the parent's level union.
 
     When the shipped options carry an enabled tracer, the worker builds a
     fresh local :class:`~repro.runtime.trace.Tracer` (span forests never
@@ -182,6 +156,7 @@ def _search_task(task: PoolTask) -> Dict[str, Any]:
     """
     import os
 
+    from ..core.arraystate import ArraySearchState, csr_of, unpack_bits
     from ..core.search import search_prototype
     from ..core.state import SearchState
     from .engine import Engine
@@ -197,27 +172,15 @@ def _search_task(task: PoolTask) -> Dict[str, Any]:
     tracer = Tracer() if tracing else NULL_TRACER
     registry = MetricsRegistry()
 
-    astate: Optional["ArraySearchState"] = None
+    csr = csr_of(graph)
+    vertex_bits, edge_bits, warm_bits = task.data
+    astate = ArraySearchState.from_scope_payload(
+        graph, csr, proto, vertex_bits, edge_bits
+    )
     warm_mask = None
-    if task.kind == "array":
-        from ..core.arraystate import ArraySearchState, csr_of, unpack_bits
-
-        csr = csr_of(graph)
-        vertex_bits, edge_bits, warm_bits = task.data
-        astate = ArraySearchState.from_scope_payload(
-            graph, csr, proto, vertex_bits, edge_bits
-        )
-        if warm_bits is not None:
-            warm_mask = unpack_bits(warm_bits, csr.num_vertices)
-        state = SearchState.empty(graph)
-    else:
-        candidates_payload, edges_payload = task.data
-        candidates = {v: set(roles) for v, roles in candidates_payload}
-        active_edges: Dict[int, set] = {v: set() for v in candidates}
-        for u, v in edges_payload:
-            active_edges.setdefault(u, set()).add(v)
-            active_edges.setdefault(v, set()).add(u)
-        state = SearchState(graph, candidates, active_edges)
+    if warm_bits is not None:
+        warm_mask = unpack_bits(warm_bits, csr.num_vertices)
+    state = SearchState.empty(graph)
 
     pgraph = PartitionedGraph(
         graph,
@@ -238,10 +201,6 @@ def _search_task(task: PoolTask) -> Dict[str, Any]:
         recycle=options.work_recycling,
         count_matches=options.count_matches,
         verification=options.verification,
-        role_kernel=options.role_kernel,
-        delta_lcc=options.delta_lcc,
-        array_state=options.array_state,
-        array_nlcc=options.array_nlcc,
         array_scope=astate,
         warm_mask=warm_mask,
         adaptive=options.adaptive,
@@ -251,9 +210,7 @@ def _search_task(task: PoolTask) -> Dict[str, Any]:
         "proto_id": task.proto_id,
         "solution_vertices": sorted(outcome.solution_vertices),
         "solution_edges": sorted(outcome.solution_edges),
-        "solution_bits": (
-            astate.solution_payload() if astate is not None else None
-        ),
+        "solution_bits": astate.solution_payload(),
         "match_mappings": outcome.match_mappings,
         "distinct_matches": outcome.distinct_matches,
         "lcc_iterations": outcome.lcc_iterations,
@@ -327,11 +284,9 @@ def payload_to_outcome(
 class PrototypeSearchPool:
     """A pool of replica workers executing prototype searches.
 
-    When ``options.shm_pool`` is on and the level sweep is array-eligible
-    (see ``_array_level_eligible``), the pool exports the graph's CSR to
-    a shared-memory segment at construction, workers attach zero-copy,
-    and :attr:`array_payloads` tells callers to ship packed-bitmap tasks.
-    Closing the pool unlinks the segment.
+    The pool exports the graph's CSR to a shared-memory segment at
+    construction and workers attach zero-copy; callers ship packed-bitmap
+    tasks (:func:`array_task`).  Closing the pool unlinks the segment.
 
     Use as a context manager; submit per-level batches with
     :meth:`search_level`.
@@ -349,30 +304,19 @@ class PrototypeSearchPool:
             raise ValueError("a pool needs at least two processes")
         import multiprocessing as mp
 
-        from ..core.pipeline import _array_level_eligible
+        from ..core.arraystate import csr_of
+        from .shm import SharedGraphCsr
 
-        #: whether callers should ship packed array payloads
-        self.array_payloads: bool = bool(options.shm_pool) and (
-            _array_level_eligible(template, options)
-        )
         self._options = options
         self._processes = processes
-        self._shm: Optional[Any] = None
-        shm_handle: Optional["SharedCsrHandle"] = None
-        if self.array_payloads:
-            from ..core.arraystate import csr_of
-            from .shm import SharedGraphCsr
-
-            self._shm = SharedGraphCsr(csr_of(graph))
-            shm_handle = self._shm.handle
-            options.metrics.gauge("shm.segment_bytes").set(
-                float(self._shm.nbytes)
-            )
+        shm = SharedGraphCsr(csr_of(graph))
+        self._shm: Optional[Any] = shm
+        options.metrics.gauge("shm.segment_bytes").set(float(shm.nbytes))
         self._pool = ProcessPoolExecutor(
             max_workers=processes,
             mp_context=mp.get_context("fork"),
             initializer=_init_worker,
-            initargs=(graph, template, k, options, shm_handle),
+            initargs=(graph, template, k, options, shm.handle),
         )
         #: measured wall seconds of the last search of each prototype
         self._wall_history: Dict[int, float] = {}
@@ -462,19 +406,6 @@ class PrototypeSearchPool:
         self.close()
 
 
-def state_to_payload(state: "SearchState") -> Tuple[List[Any], List[Any]]:
-    """Serialize a SearchState's candidates/edges for shipping to workers.
-
-    Role sets ship in set-iteration order: ``search_level`` returns
-    results in task order, so payload ordering never reaches any
-    order-sensitive consumer and the old per-vertex ``sorted()`` was pure
-    shipping overhead.
-    """
-    candidates = [(v, list(state.candidates[v])) for v in state.candidates]
-    edges = state.active_edge_list()
-    return candidates, edges
-
-
 class BatchJob:
     """One per-class root pipeline of a template-library batch.
 
@@ -545,7 +476,7 @@ class TemplateBatchScheduler:
         return results
 
     def _run_job(self, job: BatchJob) -> Any:
-        from ..core.pipeline import array_fallback_reason, run_pipeline
+        from ..core.pipeline import run_pipeline
 
         options = self.options
         run_graph = self.graph
@@ -554,7 +485,6 @@ class TemplateBatchScheduler:
             run_memo is not None
             and options.aux_views
             and options.use_max_candidate_set
-            and array_fallback_reason(job.template, options) is None
         ):
             view_graph = self._mstar_view(job)
             if view_graph is not None:
@@ -597,9 +527,7 @@ class TemplateBatchScheduler:
             tracer=options.tracer,
         )
         state = max_candidate_set(
-            graph, job.template, engine,
-            role_kernel=options.role_kernel, delta=options.delta_lcc,
-            array_state=options.array_state, memo=self.memo,
+            graph, job.template, engine, memo=self.memo,
             adaptive=options.adaptive,
         )
         vertices, _ = state.active_counts()

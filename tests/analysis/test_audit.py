@@ -5,7 +5,9 @@ import dataclasses
 from repro.analysis.audit import audit_match_vectors, audit_result
 from repro.core import PipelineOptions, naive_options, run_pipeline
 from repro.core.template import PatternTemplate
-from repro.graph.generators import planted_graph
+from repro.core.topdown import exploratory_search, stopping_distance
+from repro.graph import from_edges
+from repro.graph.generators import gnm_graph, plant_pattern, planted_graph
 
 EDGES = [(0, 1), (1, 2), (2, 0), (2, 3)]
 LABELS = [1, 2, 3, 4]
@@ -43,6 +45,43 @@ class TestExactRuns:
         report = audit_result(graph, result)
         assert "exact=True" in repr(report)
         assert "precision=1.000" in repr(report.prototypes[0])
+
+
+class TestExploratoryRuns:
+    def test_audits_only_the_searched_levels(self):
+        # A 4-cycle with a chord; only the chordless cycle (one edit away)
+        # is planted, over a background whose labels the template never
+        # uses, so the top-down sweep stops at k=1 and never searches k=2.
+        template = PatternTemplate.from_edges(
+            [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)],
+            {0: 1, 1: 2, 2: 3, 3: 4},
+            name="chorded-c4",
+        )
+        core = gnm_graph(40, 80, num_labels=2, seed=5)
+        graph = from_edges(
+            core.edges(), labels={v: core.label(v) + 10 for v in core.vertices()}
+        )
+        plant_pattern(
+            graph, [(0, 1), (1, 2), (2, 3), (3, 0)], [1, 2, 3, 4],
+            copies=1, seed=7,
+        )
+        result = exploratory_search(
+            graph, template, max_k=2,
+            options=PipelineOptions(num_ranks=2, count_matches=True),
+        )
+        assert stopping_distance(result) == 1
+        assert result.prototype_set.max_distance == 2
+        report = audit_result(graph, result)
+        assert report.exact
+        audited = {audit.proto_id for audit in report.prototypes}
+        searched = {o.proto_id for o in result.outcomes()}
+        assert audited == searched
+        assert all(
+            result.prototype_set.by_id(pid).distance <= 1 for pid in audited
+        )
+        assert any(
+            audit.match_count_true > 0 for audit in report.prototypes
+        )
 
 
 class TestDetectsViolations:

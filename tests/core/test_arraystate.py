@@ -1,10 +1,10 @@
-"""Equivalence tests for the array-backed CSR state (core/arraystate.py).
+"""Tests for the array-backed CSR state (core/arraystate.py).
 
-The array state and vectorized fixpoints are pure performance work: every
-test here pins them to the dict-of-sets baseline — identical fixed points,
-identical iteration counts, identical message/visit totals, and lossless
-round-trip conversion — on the same randomized workloads as
-``test_kernels.py``.
+Conversions and mutations are pinned to the dict-of-sets
+:class:`~repro.core.state.SearchState` they exchange with (lossless round
+trips, identical scoping).  The vectorized fixpoints are checked against
+dual simulation and the golden counters of ``test_kernels.py`` on the same
+randomized workloads.
 """
 
 import numpy as np
@@ -15,20 +15,34 @@ from repro.core import (
     PatternTemplate,
     PipelineOptions,
     SearchState,
-    compile_role_kernel,
     csr_of,
     generate_prototypes,
     local_constraint_checking,
     max_candidate_set,
     run_pipeline,
-    supports_array_fixpoint,
 )
+from repro.core import arraystate
 from repro.core.arraystate import MAX_ARRAY_ROLES, GraphCsr
+
+from test_kernels import (
+    EDGE_LABELED_GOLDEN,
+    LCC_GOLDEN,
+    MANDATORY_MSTAR_GOLDEN,
+    MSTAR_GOLDEN,
+    PIPELINE_GOLDEN,
+    edge_labeled_background,
+    edge_labeled_template,
+    engine_for,
+    pipeline_case,
+    random_case,
+    simulation_roles,
+    state_digest,
+    stats_totals,
+    template_pool,
+)
+from repro.analysis.audit import audit_result
 from repro.graph.graph import Graph
 from repro.graph.generators import planted_graph
-from repro.runtime import Engine, MessageStats, PartitionedGraph
-
-from test_kernels import engine_for, random_case, template_pool
 
 
 def dict_snapshot(state):
@@ -43,14 +57,20 @@ def array_snapshot(astate):
     return dict_snapshot(exported)
 
 
-def lcc_snapshot(graph, template, **config):
+def lcc_run(graph, template, **config):
     proto = generate_prototypes(template, 0).at(0)[0]
     state = SearchState.initial(graph, template)
     engine = engine_for(graph)
     iterations = local_constraint_checking(
         state, proto.graph, engine, **config
     )
-    return dict_snapshot(state), iterations, engine.stats
+    return state, iterations, engine.stats
+
+
+#: random_case(seed) LCC message totals when every round runs dense
+FULL_ROUND_MESSAGES = {
+    0: 256, 1: 135, 2: 289, 3: 370, 4: 266, 5: 160, 6: 210, 7: 398,
+}
 
 
 class TestGraphCsr:
@@ -204,44 +224,44 @@ class TestLccEquivalence:
     @pytest.mark.parametrize("seed", range(8))
     def test_fixed_point_identical(self, seed):
         graph, template = random_case(seed)
-        base = lcc_snapshot(graph, template, role_kernel=False, delta=False)
-        arr = lcc_snapshot(
-            graph, template, role_kernel=True, delta=True, array_state=True
-        )
-        assert arr[:2] == base[:2]
+        state, iterations, _stats = lcc_run(graph, template)
+        assert {
+            v: set(roles) for v, roles in state.candidates.items()
+        } == simulation_roles(graph, template)
+        want_iterations, _totals, _size, digest = LCC_GOLDEN[seed]
+        assert iterations == want_iterations
+        assert state_digest(state) == digest
 
     @pytest.mark.parametrize("seed", range(8))
-    def test_full_round_mode_identical(self, seed):
+    def test_full_round_mode_identical(self, seed, monkeypatch):
+        # Force the adaptive switch to run every round dense: same fixed
+        # point, same round count, full-broadcast message totals.
+        monkeypatch.setattr(arraystate, "ADAPTIVE_MIN_VERTICES", 0)
+        monkeypatch.setattr(arraystate, "ADAPTIVE_DENSITY_THRESHOLD", 0.0)
         graph, template = random_case(seed)
-        base = lcc_snapshot(graph, template, role_kernel=False, delta=False)
-        arr = lcc_snapshot(
-            graph, template, role_kernel=True, delta=False, array_state=True
-        )
-        assert arr[:2] == base[:2]
+        state, iterations, stats = lcc_run(graph, template, adaptive=True)
+        assert {
+            v: set(roles) for v, roles in state.candidates.items()
+        } == simulation_roles(graph, template)
+        want_iterations, _totals, _size, digest = LCC_GOLDEN[seed]
+        assert iterations == want_iterations
+        assert state_digest(state) == digest
+        assert stats.total_messages == FULL_ROUND_MESSAGES[seed]
 
     @pytest.mark.parametrize("seed", range(8))
     def test_message_and_visit_parity_with_delta_kernel(self, seed):
-        # The batched accounting must reproduce the dict delta path's
-        # totals exactly (control/termination traffic is not compared).
+        # Batched accounting totals (control/termination traffic is not
+        # compared).
         graph, template = random_case(seed)
-        dlta = lcc_snapshot(graph, template, role_kernel=True, delta=True)
-        arr = lcc_snapshot(
-            graph, template, role_kernel=True, delta=True, array_state=True
-        )
-        assert arr[2].total_messages == dlta[2].total_messages
-        assert arr[2].total_visits == dlta[2].total_visits
+        _state, _iterations, stats = lcc_run(graph, template)
+        assert stats_totals(stats) == LCC_GOLDEN[seed][1]
 
     def test_max_iterations_bound_respected(self):
         graph, template = random_case(0)
-        base = lcc_snapshot(
-            graph, template, role_kernel=False, delta=False, max_iterations=1
-        )
-        arr = lcc_snapshot(
-            graph, template, role_kernel=True, delta=True,
-            array_state=True, max_iterations=1,
-        )
-        assert arr[:2] == base[:2]
-        assert arr[1] == 1
+        state, iterations, _stats = lcc_run(graph, template, max_iterations=1)
+        assert iterations == 1
+        assert (state.num_active_vertices, state.num_active_edges) == (21, 21)
+        assert state_digest(state) == "246a6ffc8e71"
 
     def test_isolated_candidate_eliminated_in_round_one(self):
         template = template_pool()[0]
@@ -250,24 +270,17 @@ class TestLccEquivalence:
             graph.add_vertex(v, lab)
         for u, v in [(0, 1), (1, 2), (2, 0), (2, 3)]:
             graph.add_edge(u, v)
-        for delta in (False, True):
-            state = SearchState.initial(graph, template)
-            local_constraint_checking(
-                state, template.graph, engine_for(graph),
-                role_kernel=True, delta=delta, array_state=True,
-            )
-            assert not state.is_active(9)
-            assert state.is_active(2)
+        state = SearchState.initial(graph, template)
+        local_constraint_checking(state, template.graph, engine_for(graph))
+        assert not state.is_active(9)
+        assert state.is_active(2)
 
     def test_oversized_role_set_runs_multi_word_array_kernel(self):
-        # Regression for the removed ">64 roles" dict fallback: the wide
-        # template now runs the multi-word array kernel and must match the
-        # dict fixpoint bit-for-bit.
+        # A template wider than one mask word runs the multi-word kernel
+        # and still reaches the dual-simulation fixed point.
         path = [(v, v + 1) for v in range(MAX_ARRAY_ROLES)]
         labels = {v: 1 for v in range(MAX_ARRAY_ROLES + 1)}
         template = PatternTemplate.from_edges(path, labels, name="wide")
-        kernel = compile_role_kernel(template.graph)
-        assert supports_array_fixpoint(kernel)
         graph_probe = Graph()
         graph_probe.add_vertex(0, 1)
         wide_state = ArraySearchState.initial(graph_probe, template)
@@ -277,85 +290,50 @@ class TestLccEquivalence:
             graph.add_vertex(v, 1)
         for v in range(5):
             graph.add_edge(v, v + 1)
-        base_state = SearchState.initial(graph, template)
-        arr_state = SearchState.initial(graph, template)
-        base_iters = local_constraint_checking(
-            base_state, template.graph, engine_for(graph),
-            role_kernel=True, delta=True,
-        )
-        arr_iters = local_constraint_checking(
-            arr_state, template.graph, engine_for(graph),
-            role_kernel=True, delta=True, array_state=True,
-        )
-        assert dict_snapshot(arr_state) == dict_snapshot(base_state)
-        assert arr_iters == base_iters
+        state, iterations, stats = lcc_run(graph, template)
+        assert {
+            v: set(roles) for v, roles in state.candidates.items()
+        } == simulation_roles(graph, template)
+        assert iterations == 1
+        assert stats.total_messages == 10
 
 
 class TestEdgeLabeledEquivalence:
-    def background(self, seed):
-        rng = np.random.default_rng(seed)
-        graph = Graph()
-        n = 24
-        for v in range(n):
-            graph.add_vertex(v, int(rng.integers(3)) + 1)
-        added = 0
-        while added < 60:
-            u, v = int(rng.integers(n)), int(rng.integers(n))
-            if u != v and not graph.has_edge(u, v):
-                label = None if rng.random() < 0.5 else int(rng.integers(2)) + 6
-                graph.add_edge(u, v, label)
-                added += 1
-        return graph
-
     @pytest.mark.parametrize("seed", range(6))
     def test_labeled_fixed_point_identical(self, seed):
-        template = PatternTemplate.from_edges(
-            [(0, 1), (1, 2), (2, 0)],
-            labels={0: 1, 1: 2, 2: 3},
-            edge_labels={(0, 1): 7},
-            name="el",
-        )
-        graph = self.background(seed)
-        base = lcc_snapshot(graph, template, role_kernel=False, delta=False)
-        arr = lcc_snapshot(
-            graph, template, role_kernel=True, delta=True, array_state=True
-        )
-        assert arr[:2] == base[:2]
+        graph = edge_labeled_background(seed)
+        state, iterations, _stats = lcc_run(graph, edge_labeled_template())
+        want_iterations, _totals, size, digest = EDGE_LABELED_GOLDEN[seed]
+        assert iterations == want_iterations
+        assert (state.num_active_vertices, state.num_active_edges) == size
+        assert state_digest(state) == digest
 
     def test_wanted_label_absent_from_graph(self):
         # The template wants edge label 42, which no graph edge carries:
-        # roles requiring it must die on both paths.
-        template = PatternTemplate.from_edges(
-            [(0, 1), (1, 2), (2, 0)],
-            labels={0: 1, 1: 2, 2: 3},
-            edge_labels={(0, 1): 42},
-            name="ghost-label",
+        # roles requiring it die, and with them every candidate.
+        graph = edge_labeled_background(0)
+        state, iterations, stats = lcc_run(
+            graph, edge_labeled_template(wanted=42)
         )
-        graph = self.background(0)
-        base = lcc_snapshot(graph, template, role_kernel=False, delta=False)
-        arr = lcc_snapshot(
-            graph, template, role_kernel=True, delta=True, array_state=True
-        )
-        assert arr[:2] == base[:2]
+        assert iterations == 3
+        assert stats_totals(stats) == (120, 82, 144)
+        assert state.num_active_vertices == 0
 
 
 class TestMaxCandidateSetEquivalence:
-    def mcs(self, graph, template, **config):
+    def mcs(self, graph, template):
         engine = engine_for(graph)
-        state = max_candidate_set(graph, template, engine, **config)
-        return dict_snapshot(state), engine.stats
+        state = max_candidate_set(graph, template, engine)
+        return state, engine.stats
 
     @pytest.mark.parametrize("seed", range(6))
     def test_mstar_identical(self, seed):
         graph, template = random_case(seed)
-        base = self.mcs(graph, template, role_kernel=False, delta=False)
-        dlta = self.mcs(graph, template, role_kernel=True, delta=True)
-        arr = self.mcs(
-            graph, template, role_kernel=True, delta=True, array_state=True
-        )
-        assert arr[0] == base[0]
-        assert arr[1].total_messages == dlta[1].total_messages
-        assert arr[1].total_visits == dlta[1].total_visits
+        state, stats = self.mcs(graph, template)
+        totals, size, digest = MSTAR_GOLDEN[seed]
+        assert stats_totals(stats) == totals
+        assert (state.num_active_vertices, state.num_active_edges) == size
+        assert state_digest(state) == digest
 
     def test_mandatory_edges_identical(self):
         template = PatternTemplate.from_edges(
@@ -367,11 +345,10 @@ class TestMaxCandidateSetEquivalence:
         graph = planted_graph(
             40, 110, template.edges(), labels, copies=2, num_labels=4, seed=3
         )
-        base = self.mcs(graph, template, role_kernel=False, delta=False)
-        arr = self.mcs(
-            graph, template, role_kernel=True, delta=True, array_state=True
-        )
-        assert arr[0] == base[0]
+        state, stats = self.mcs(graph, template)
+        totals, size, digest = MANDATORY_MSTAR_GOLDEN
+        assert stats_totals(stats) == totals
+        assert state_digest(state) == digest
 
 
 class TestScopingParity:
@@ -422,39 +399,26 @@ class TestScopingParity:
 
 
 class TestPipelineEquivalence:
-    """End-to-end: the array_state knob never changes any result field."""
+    """End-to-end: exact against brute force, sizes and counters pinned."""
 
     @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize("seed", [11, 23])
     def test_full_pipeline_identical(self, k, seed):
-        template = template_pool()[0]
-        labels = [template.label(v) for v in sorted(template.graph.vertices())]
-        graph = planted_graph(
-            50, 130, template.edges(), labels, copies=3, num_labels=4, seed=seed
+        graph, template = pipeline_case(seed)
+        result = run_pipeline(
+            graph, template, k,
+            PipelineOptions(num_ranks=3, count_matches=True),
         )
-        results = [
-            run_pipeline(
-                graph, template, k,
-                PipelineOptions(
-                    num_ranks=3, count_matches=True, array_state=array_state
-                ),
-            )
-            for array_state in (False, True)
-        ]
-        base, arr = results
-        assert arr.match_vectors == base.match_vectors
-        assert arr.candidate_set_vertices == base.candidate_set_vertices
-        assert arr.candidate_set_edges == base.candidate_set_edges
-        for proto in base.prototype_set:
-            ours = arr.outcome_for(proto.id)
-            ref = base.outcome_for(proto.id)
-            assert ours.solution_vertices == ref.solution_vertices
-            assert ours.solution_edges == ref.solution_edges
-            assert ours.match_mappings == ref.match_mappings
-            assert ours.lcc_iterations == ref.lcc_iterations
-            assert ours.post_lcc_vertices == ref.post_lcc_vertices
-            assert ours.post_lcc_edges == ref.post_lcc_edges
-            assert ours.exact == ref.exact
+        assert audit_result(graph, result).exact
+        mstar, _totals, outcomes = PIPELINE_GOLDEN[f"{seed}-{k}"]
+        assert (
+            result.candidate_set_vertices, result.candidate_set_edges
+        ) == mstar
+        assert [
+            (o.proto_id, o.lcc_iterations, o.post_lcc_vertices,
+             o.post_lcc_edges)
+            for level in result.levels for o in level.outcomes
+        ] == outcomes
 
 
 class TestResultStats:

@@ -13,6 +13,7 @@ old<->new remapping through :meth:`GraphCsr.induced_view`.
 import numpy as np
 import pytest
 
+from repro.analysis.audit import audit_result
 from repro.core import (
     BatchQuery,
     PatternTemplate,
@@ -29,7 +30,6 @@ from repro.errors import TemplateError
 from repro.graph import from_edges
 from repro.graph.graph import canonical_edge
 from repro.graph.generators import gnm_graph, plant_pattern
-from repro.runtime.trace import Tracer
 
 
 def options(**overrides):
@@ -373,88 +373,43 @@ class TestInducedViewRemapping:
             csr.induced_view(np.ones(csr.num_vertices + 1, dtype=bool))
 
 
-# -------------------------------------------------- fallback reporting
+# ------------------------------------------------ former dict-path runs
 class TestArrayFallbackReporting:
+    """Option combinations that once fell back to a dict level sweep.
+
+    They run the single array path now; answers must stay exact.
+    """
+
     def case(self):
         graph = gnm_graph(80, 240, num_labels=2, seed=3)
         template = nlcc_stress_template()
         return graph, template
 
-    def test_dict_path_reason_lands_in_result_and_stats(self):
-        graph, template = self.case()
-        result = run_pipeline(
-            graph, template, 0,
-            options(array_nlcc=False, count_matches=False),
-        )
-        assert result.array_fallback_reason is not None
-        assert "array_nlcc" in result.array_fallback_reason
-        stats = result.stats_document()
-        assert (
-            stats["array_fallback_reason"] == result.array_fallback_reason
-        )
-
     def test_enumeration_optimization_stays_on_array_path(self):
-        # Regression for a removed fallback reason: the enumeration
-        # optimization chains dense array match tables, so it no longer
-        # forces the dict path — and the answers still match a run
-        # without the optimization.
+        # The enumeration optimization chains dense array match tables;
+        # its answers match a run without the optimization and the
+        # brute-force oracle.
         graph, template = self.case()
         optimized = run_pipeline(
             graph, template, 1, options(enumeration_optimization=True)
         )
-        assert optimized.array_fallback_reason is None
         plain = run_pipeline(graph, template, 1, options())
         assert optimized.matched_vertices() == plain.matched_vertices()
         assert (
             optimized.total_match_mappings() == plain.total_match_mappings()
         )
+        assert audit_result(graph, optimized).exact
 
     def test_naive_mode_stays_on_array_path(self):
-        # Regression for a removed fallback reason: naive mode starts
-        # each prototype from ArraySearchState.initial instead of
-        # dropping the whole run to dict form.
+        # Naive mode starts each prototype from ArraySearchState.initial.
         graph, template = self.case()
         naive = run_pipeline(
             graph, template, 0, options(use_max_candidate_set=False)
         )
-        assert naive.array_fallback_reason is None
         pruned = run_pipeline(graph, template, 0, options())
         assert naive.matched_vertices() == pruned.matched_vertices()
         assert naive.total_match_mappings() == pruned.total_match_mappings()
-
-    def test_array_path_reports_no_reason(self):
-        graph, template = self.case()
-        result = run_pipeline(graph, template, 0, options())
-        assert result.array_fallback_reason is None
-        assert result.stats_document()["array_fallback_reason"] is None
-
-    def test_tracer_span_carries_the_reason(self):
-        graph, template = self.case()
-        tracer = Tracer()
-        run_pipeline(
-            graph, template, 0,
-            options(
-                array_nlcc=False, count_matches=False,
-                tracer=tracer,
-            ),
-        )
-        spans = []
-        stack = list(tracer.roots)
-        while stack:
-            span = stack.pop()
-            spans.append(span)
-            stack.extend(span.children)
-        fallback = [s for s in spans if s.name == "array_fallback"]
-        assert len(fallback) == 1
-        assert "array_nlcc" in fallback[0].attrs["reason"]
-
-    def test_batch_stats_surface_per_class_reasons(self):
-        graph, template = self.case()
-        opts = options(array_nlcc=False, count_matches=False)
-        batch = run_batch(graph, [BatchQuery(template, 0)], opts)
-        per_class = batch.stats_document()["per_class"]
-        assert len(per_class) == 1
-        assert "array_nlcc" in per_class[0]["array_fallback_reason"]
+        assert audit_result(graph, naive).exact
 
 
 class TestScheduleCostEstimates:

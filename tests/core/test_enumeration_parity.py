@@ -1,9 +1,10 @@
 """Parity properties for the vectorized match enumerator and wide masks.
 
 ``enumerate_matches_array`` is pure performance work: on every input the
-mapping *set* it produces must be bit-exact with the dict backtracker
-(:func:`enumerate_matches`), including edge-labeled and wildcard pattern
-edges — only the enumeration order may differ.  Likewise the multi-word
+mapping *set* it produces must be bit-exact with :func:`enumerate_matches`,
+the brute-force subgraph-isomorphism reference over the same pruned state,
+including edge-labeled and wildcard pattern edges — only the enumeration
+order may differ.  Likewise the multi-word
 ``(n, n_words)`` role-mask layout must reach the same fixed point as the
 single-word fast path on the same seeds.  These tests pin both contracts
 on the randomized workloads of ``test_kernels.py``.
@@ -44,9 +45,7 @@ def verification_state(seed, proto_index, k=1):
     protos = generate_prototypes(template, k).all()
     proto = protos[proto_index % len(protos)]
     scoped = state.for_prototype_search(proto)
-    local_constraint_checking(
-        scoped, proto.graph, engine_for(graph), array_state=True
-    )
+    local_constraint_checking(scoped, proto.graph, engine_for(graph))
     return proto, scoped
 
 
@@ -127,9 +126,7 @@ class TestEdgeLabelEnumerationParity:
     def pruned(self, graph, template):
         proto = generate_prototypes(template, 0).at(0)[0]
         state = SearchState.initial(graph, template)
-        local_constraint_checking(
-            state, proto.graph, engine_for(graph), array_state=True
-        )
+        local_constraint_checking(state, proto.graph, engine_for(graph))
         return proto, state
 
     @pytest.mark.parametrize("seed", range(6))

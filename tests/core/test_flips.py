@@ -11,7 +11,9 @@ from repro.core.flips import (
 from repro.errors import TemplateError
 from repro.graph import are_isomorphic, is_connected
 from repro.graph.generators import planted_graph
+from repro.graph.graph import canonical_edge
 from repro.graph.isomorphism import find_subgraph_isomorphisms
+from repro.runtime.trace import Tracer
 
 
 def base_template():
@@ -95,6 +97,43 @@ class TestFlipPipeline:
                 for v in m.values()
             }
             assert result.outcomes[variant.name].solution_vertices == expected
+
+    def test_variants_exact_against_brute_force(self):
+        template = base_template()
+        graph = planted_graph(
+            40, 80, template.edges(), [1, 2, 3, 4], copies=2,
+            num_labels=5, seed=19,
+        )
+        tracer = Tracer()
+        options = PipelineOptions(
+            num_ranks=2, count_matches=True, tracer=tracer
+        )
+        result = run_flip_pipeline(graph, template, flips=1, options=options)
+        for variant in result.variants:
+            outcome = result.outcomes[variant.name]
+            truth = list(find_subgraph_isomorphisms(variant.graph, graph))
+            assert outcome.solution_vertices == {
+                v for mapping in truth for v in mapping.values()
+            }
+            assert {
+                canonical_edge(u, v) for u, v in outcome.solution_edges
+            } == {
+                canonical_edge(mapping[a], mapping[b])
+                for mapping in truth
+                for a, b in variant.graph.edges()
+            }
+            assert outcome.match_mappings == len(truth)
+        assert [
+            result.outcomes[v.name].lcc_iterations for v in result.variants
+        ] == [4, 3, 4, 4, 4, 4, 4, 3]
+        assert result.candidate_set_vertices == 43
+        # the run's tracer and metrics registry reach every engine
+        spans = [
+            span.name for root in tracer.roots for span, _depth in root.walk()
+        ]
+        assert "max_candidate_set" in spans
+        assert spans.count("prototype") == len(result.variants)
+        assert dict(options.metrics.counters())["engine.rounds_batched"] > 0
 
     def test_match_vectors_union(self):
         template = base_template()

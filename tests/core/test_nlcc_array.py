@@ -1,18 +1,22 @@
-"""Array-NLCC vs dict-NLCC equivalence (the batched token frontier).
+"""The batched NLCC token frontier (core/nlcc.py, arraystate walk).
 
-Every test runs the same walk twice — dict token visitors vs the batched
-array frontier (``array_nlcc=True``) — and asserts identical observable
-results: final state, checked/satisfied/recycled sets, eliminations,
-completions, confirmed roles/edges, and (for full walks) the exact match
-mappings.  The array path may merge token rows (``dedup_merged``) but
-must never change what the walk concludes.
+Every walk is checked against the brute-force oracle: after the full-walk
+constraint the state is exactly the solution subgraph, and the full
+walk's completed mappings are exactly the subgraph isomorphisms.  The
+per-constraint outcome (checked/satisfied/recycled sets, eliminations,
+completions, dedup merges), the final state and the message totals are
+pinned to golden values recorded when a dict token walk still proved them
+equal on these exact workloads.
 """
 
-from collections import Counter
+import hashlib
 
+import numpy as np
 import pytest
 
+from repro.analysis.audit import audit_result
 from repro.core import (
+    ArraySearchState,
     NlccCache,
     PatternTemplate,
     PipelineOptions,
@@ -25,57 +29,57 @@ from repro.core import (
 from repro.core.kernels import compile_role_kernel
 from repro.core.ordering import order_constraints
 from repro.graph.generators import gnm_graph
-from repro.graph.graph import Graph
+from repro.graph.graph import Graph, canonical_edge
+from repro.graph.isomorphism import find_subgraph_isomorphisms
 from repro.runtime import Engine, MessageStats, PartitionedGraph
+
+from test_kernels import state_digest, stats_totals
 
 
 def engine_for(graph, ranks=4):
     return Engine(PartitionedGraph(graph, ranks), MessageStats(ranks))
 
 
-def state_snapshot(state):
-    return (
-        {v: frozenset(r) for v, r in state.candidates.items()},
-        frozenset(state.active_edge_list()),
-    )
-
-
-def result_digest(result):
-    """Everything an NlccResult observably concludes, order-insensitive.
-
-    ``completed_mappings`` is compared as a multiset of frozen item-sets:
-    the two executions discover paths in different orders, and sorting
-    frozensets is not a total order (subset comparison), so a Counter is
-    the only stable equality.
-    """
-    return (
-        frozenset(result.checked),
-        frozenset(result.satisfied),
-        frozenset(result.recycled),
+def result_row(constraint, result):
+    return [
+        constraint.kind,
+        len(result.checked),
+        len(result.satisfied),
+        len(result.recycled),
         result.eliminated_roles,
         result.completions,
-        {v: frozenset(r) for v, r in result.confirmed_roles.items()},
-        frozenset(result.confirmed_edges),
-        Counter(frozenset(m.items()) for m in result.completed_mappings),
-    )
+        result.dedup_merged,
+    ]
 
 
-def run_constraints(graph, template, constraints, array_nlcc, cache=None,
-                    recycle=False):
-    """Fresh post-LCC state, then every constraint in order; returns
-    (state snapshot, [result digests], engine stats)."""
+def rows_digest(rows):
+    return hashlib.sha256(repr(rows).encode()).hexdigest()[:12]
+
+
+def run_constraints(graph, template, constraints, cache=None,
+                    recycle=False, persistent=False):
+    """Fresh post-LCC state, then every constraint in order.
+
+    ``persistent`` runs the constraints on one live array state (the
+    pipeline's level-persistent mode) instead of converting the dict state
+    per constraint.  Returns (state, results, engine stats).
+    """
     state = SearchState.initial(graph, template)
     engine = engine_for(graph)
     local_constraint_checking(state, template.graph, engine)
     kernel = compile_role_kernel(template.graph)
-    digests = []
+    astate = None
+    if persistent:
+        astate = ArraySearchState.from_search_state(state, roles=kernel.roles)
+    results = []
     for constraint in constraints:
-        result = non_local_constraint_checking(
+        results.append(non_local_constraint_checking(
             state, constraint, engine, cache=cache, recycle=recycle,
-            kernel=kernel, array_nlcc=array_nlcc,
-        )
-        digests.append(result_digest(result))
-    return state_snapshot(state), digests
+            kernel=kernel, astate=astate,
+        ))
+    if persistent:
+        astate.write_back(state)
+    return state, results, engine.stats
 
 
 def all_constraints(graph, template):
@@ -83,8 +87,58 @@ def all_constraints(graph, template):
     return order_constraints(constraint_set.non_local, graph.label_counts())
 
 
+def assert_exact(graph, template, state, results):
+    """The full walk left exactly the brute-force solution subgraph."""
+    truth = list(find_subgraph_isomorphisms(template.graph, graph))
+    vertices = {v for mapping in truth for v in mapping.values()}
+    edges = {
+        canonical_edge(mapping[u], mapping[v])
+        for mapping in truth
+        for u, v in template.graph.edges()
+    }
+    assert set(state.candidates) == vertices
+    assert {canonical_edge(u, v) for u, v in state.active_edge_list()} == edges
+    full_walk = results[-1]
+    assert full_walk.constraint.kind == "tds_full"
+    found = [frozenset(m.items()) for m in full_walk.completed_mappings]
+    assert sorted(found, key=sorted) == sorted(
+        (frozenset(m.items()) for m in truth), key=sorted
+    )
+
+
+#: workload -> (final state digest, (messages, remote, visits),
+#: digest of the per-constraint rows of :func:`result_row`)
+WALK_GOLDEN = {
+    "c4-0": ("fed424e68fdf", (11549, 9098, 11937), "681d5103b197"),
+    "c4-1": ("885614c304c5", (11581, 9095, 11945), "16c8ae4dbbdc"),
+    "c4-2": ("2123ddd007a1", (14381, 10869, 14776), "6151f3581638"),
+    "c4-3": ("2911d216cd3e", (16517, 12857, 16950), "c93f4f177219"),
+    "c4-4": ("929fd38bde8b", (13776, 11218, 14178), "09be4660fbf5"),
+    "el": ("09200a4bee5a", (358, 259, 431), "616ba2aba1c3"),
+    "storm": ("cf5e3a56314d", (417150, 342990, 417330), "381acafaf8b3"),
+    "tri-0": ("1391876e6368", (184, 143, 218), "c607e2a9206c"),
+    "tri-1": ("1391876e6368", (207, 165, 244), "c607e2a9206c"),
+    "tri-2": ("1391876e6368", (190, 144, 222), "c607e2a9206c"),
+    "tri-3": ("1391876e6368", (222, 171, 260), "c607e2a9206c"),
+    "tri-4": ("1391876e6368", (219, 165, 257), "c607e2a9206c"),
+}
+
+
+def check_walks(name, graph, template):
+    constraints = all_constraints(graph, template)
+    state, results, stats = run_constraints(graph, template, constraints)
+    assert_exact(graph, template, state, results)
+    digest, totals, rows = WALK_GOLDEN[name]
+    assert state_digest(state) == digest
+    assert stats_totals(stats) == totals
+    assert rows_digest(
+        [result_row(c, r) for c, r in zip(constraints, results)]
+    ) == rows
+    return constraints
+
+
 class TestWalkEquivalence:
-    """Dict walk and array frontier agree constraint by constraint."""
+    """Exact against brute force, counters pinned, constraint by constraint."""
 
     @pytest.mark.parametrize("seed", range(5))
     def test_c4_all_constraint_kinds(self, seed):
@@ -95,11 +149,8 @@ class TestWalkEquivalence:
             labels={0: 0, 1: 1, 2: 1, 3: 0},
         )
         graph = gnm_graph(60, 150, num_labels=2, seed=seed)
-        constraints = all_constraints(graph, template)
+        constraints = check_walks(f"c4-{seed}", graph, template)
         assert {c.kind for c in constraints} >= {"cycle", "path", "tds_full"}
-        dict_out = run_constraints(graph, template, constraints, False)
-        array_out = run_constraints(graph, template, constraints, True)
-        assert array_out == dict_out
 
     @pytest.mark.parametrize("seed", range(5))
     def test_triangle_distinct_labels(self, seed):
@@ -107,10 +158,7 @@ class TestWalkEquivalence:
             [(0, 1), (1, 2), (2, 0)], labels={0: 1, 1: 2, 2: 3}
         )
         graph = gnm_graph(50, 140, num_labels=3, seed=seed + 10)
-        constraints = all_constraints(graph, template)
-        dict_out = run_constraints(graph, template, constraints, False)
-        array_out = run_constraints(graph, template, constraints, True)
-        assert array_out == dict_out
+        check_walks(f"tri-{seed}", graph, template)
 
     def test_edge_labeled_walk(self):
         template = PatternTemplate.from_edges(
@@ -119,8 +167,6 @@ class TestWalkEquivalence:
             edge_labels={(0, 1): 7},
         )
         graph = Graph()
-        import numpy as np
-
         rng = np.random.default_rng(3)
         for v in range(40):
             graph.add_vertex(v, int(rng.integers(3)) + 1)
@@ -131,10 +177,7 @@ class TestWalkEquivalence:
                 label = None if rng.random() < 0.5 else 7
                 graph.add_edge(u, v, label)
                 added += 1
-        constraints = all_constraints(graph, template)
-        dict_out = run_constraints(graph, template, constraints, False)
-        array_out = run_constraints(graph, template, constraints, True)
-        assert array_out == dict_out
+        check_walks("el", graph, template)
 
 
 class TestHubStormDedup:
@@ -158,10 +201,7 @@ class TestHubStormDedup:
             labels={0: 0, 1: 0, 2: 0, 3: 0},
         )
         graph = self.storm_graph()
-        constraints = all_constraints(graph, template)
-        dict_out = run_constraints(graph, template, constraints, False)
-        array_out = run_constraints(graph, template, constraints, True)
-        assert array_out == dict_out
+        constraints = check_walks("storm", graph, template)
 
         # Rerun one cycle constraint directly to observe the merge counter:
         # in a single-label clique the two free interior positions of the
@@ -173,14 +213,13 @@ class TestHubStormDedup:
         cycle = next(c for c in constraints if c.kind == "cycle")
         result = non_local_constraint_checking(
             state, cycle, engine, recycle=False, kernel=kernel,
-            array_nlcc=True,
         )
         assert result.dedup_merged > 0
         assert result.satisfied == result.checked
 
 
 class TestCacheParity:
-    """Work recycling behaves identically under both executions."""
+    """Work recycling, per-constraint and level-persistent modes alike."""
 
     def template_and_graph(self):
         template = PatternTemplate.from_edges(
@@ -189,90 +228,91 @@ class TestCacheParity:
         graph = gnm_graph(50, 140, num_labels=3, seed=2)
         return template, graph
 
-    @pytest.mark.parametrize("array_nlcc", [False, True])
-    def test_second_run_recycles(self, array_nlcc):
-        template, graph = self.template_and_graph()
-        constraints = [
+    def cycles(self, graph, template):
+        return [
             c for c in all_constraints(graph, template) if c.kind == "cycle"
         ]
+
+    @pytest.mark.parametrize("persistent", [False, True])
+    def test_second_run_recycles(self, persistent):
+        template, graph = self.template_and_graph()
+        constraints = self.cycles(graph, template)
         cache = NlccCache()
-        _snap1, first = run_constraints(
-            graph, template, constraints, array_nlcc, cache=cache,
-            recycle=True,
+        _state, first, _stats = run_constraints(
+            graph, template, constraints, cache=cache, recycle=True,
+            persistent=persistent,
         )
-        _snap2, second = run_constraints(
-            graph, template, constraints, array_nlcc, cache=cache,
-            recycle=True,
+        _state, second, _stats = run_constraints(
+            graph, template, constraints, cache=cache, recycle=True,
+            persistent=persistent,
         )
         # first pass recycles nothing, second recycles every satisfied
-        # initiator (digest fields: checked, satisfied, recycled, ...)
-        assert all(digest[2] == frozenset() for digest in first)
-        assert [d[2] for d in second] == [d[1] for d in first]
+        # initiator
+        assert all(result.recycled == set() for result in first)
+        assert [r.recycled for r in second] == [r.satisfied for r in first]
 
     def test_hit_miss_counters_match(self):
         template, graph = self.template_and_graph()
-        constraints = [
-            c for c in all_constraints(graph, template) if c.kind == "cycle"
-        ]
+        constraints = self.cycles(graph, template)
         counters = {}
-        for array_nlcc in (False, True):
+        for persistent in (False, True):
             cache = NlccCache()
             for _ in range(2):
                 run_constraints(
-                    graph, template, constraints, array_nlcc, cache=cache,
-                    recycle=True,
+                    graph, template, constraints, cache=cache,
+                    recycle=True, persistent=persistent,
                 )
-            counters[array_nlcc] = (cache.hits, cache.misses)
-        assert counters[False] == counters[True]
+            counters[persistent] = (cache.hits, cache.misses)
+        assert counters[False] == counters[True] == (0, 0)
+
+
+#: k -> per-outcome (proto id, lcc iterations, nlcc constraints checked,
+#: roles eliminated, recycled, tokens launched, completions, dedup merged)
+PIPELINE_NLCC_GOLDEN = {
+    0: [(0, 11, 9, 32, 88, 141, 258, 2)],
+    1: [
+        (1, 3, 5, 0, 66, 108, 1050, 0),
+        (2, 3, 5, 0, 100, 69, 1300, 0),
+        (3, 3, 5, 0, 106, 68, 1492, 0),
+        (0, 11, 9, 32, 132, 97, 156, 2),
+    ],
+}
 
 
 class TestPipelineEquivalence:
-    """run_pipeline with array_nlcc off vs on is observably identical."""
+    """run_pipeline end to end: exact, with pinned NLCC counters."""
+
+    def case(self):
+        template = PatternTemplate.from_edges(
+            [(0, 1), (1, 2), (2, 3), (3, 0)],
+            labels={0: 0, 1: 1, 2: 1, 3: 0},
+        )
+        graph = gnm_graph(80, 220, num_labels=2, seed=5)
+        return template, graph
 
     @pytest.mark.parametrize("k", [0, 1])
     def test_end_to_end(self, k):
-        template = PatternTemplate.from_edges(
-            [(0, 1), (1, 2), (2, 3), (3, 0)],
-            labels={0: 0, 1: 1, 2: 1, 3: 0},
-        )
-        graph = gnm_graph(80, 220, num_labels=2, seed=5)
-        results = {}
-        for array_nlcc in (False, True):
-            options = PipelineOptions(
-                num_ranks=4, count_matches=True, array_nlcc=array_nlcc
-            )
-            result = run_pipeline(graph, template, k, options)
-            results[array_nlcc] = (
-                {v: frozenset(p) for v, p in result.match_vectors.items()},
-                result.total_match_mappings(),
-                [
-                    (o.proto_id, sorted(o.solution_vertices),
-                     sorted(o.solution_edges), o.match_mappings,
-                     o.distinct_matches, o.lcc_iterations,
-                     o.post_lcc_vertices, o.post_lcc_edges)
-                    for level in result.levels for o in level.outcomes
-                ],
-            )
-        assert results[False] == results[True]
+        template, graph = self.case()
+        options = PipelineOptions(num_ranks=4, count_matches=True)
+        result = run_pipeline(graph, template, k, options)
+        assert audit_result(graph, result).exact
+        assert [
+            (o.proto_id, o.lcc_iterations, o.nlcc_constraints_checked,
+             o.nlcc_roles_eliminated, o.nlcc_recycled,
+             o.nlcc_tokens_launched, o.nlcc_completions,
+             o.nlcc_dedup_merged)
+            for level in result.levels for o in level.outcomes
+        ] == PIPELINE_NLCC_GOLDEN[k]
 
     def test_stats_document_counters_without_tracer(self):
-        template = PatternTemplate.from_edges(
-            [(0, 1), (1, 2), (2, 3), (3, 0)],
-            labels={0: 0, 1: 1, 2: 1, 3: 0},
-        )
-        graph = gnm_graph(80, 220, num_labels=2, seed=5)
-        docs = {}
-        for array_nlcc in (False, True):
-            options = PipelineOptions(
-                num_ranks=4, count_matches=True, array_nlcc=array_nlcc
-            )
-            doc = run_pipeline(graph, template, 1, options).stats_document()
-            docs[array_nlcc] = doc["nlcc"]
-        for nlcc in docs.values():
-            assert nlcc["tokens_launched"] > 0
-            assert nlcc["completions"] > 0
-        # everything except the array-only dedup counter agrees
-        for field in ("constraints_checked", "roles_eliminated", "recycled",
-                      "tokens_launched", "completions"):
-            assert docs[False][field] == docs[True][field]
-        assert docs[False]["dedup_merged"] == 0
+        template, graph = self.case()
+        options = PipelineOptions(num_ranks=4, count_matches=True)
+        doc = run_pipeline(graph, template, 1, options).stats_document()
+        assert doc["nlcc"] == {
+            "constraints_checked": 24,
+            "roles_eliminated": 32,
+            "recycled": 404,
+            "tokens_launched": 342,
+            "completions": 3998,
+            "dedup_merged": 2,
+        }

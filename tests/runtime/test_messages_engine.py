@@ -1,7 +1,10 @@
-"""Tests for message accounting, the cost model and the visitor engine."""
+"""Tests for message accounting, the cost model and the round-accounting engine."""
 
 import pytest
 
+import numpy as np
+
+from repro.core.arraystate import _RoundAccounting, csr_of
 from repro.errors import EngineError
 from repro.graph import from_edges
 from repro.runtime import (
@@ -9,7 +12,6 @@ from repro.runtime import (
     Engine,
     MessageStats,
     PartitionedGraph,
-    Visitor,
 )
 
 
@@ -123,81 +125,54 @@ class TestCostModel:
         assert model.makespan_between(stats, 0, 1) == pytest.approx(1.0)
 
 
+def broadcast_round(engine, senders=None):
+    """One batched round: ``senders`` (default: every vertex) send one
+    message along each incident directed edge."""
+    csr = csr_of(engine.pgraph.graph)
+    if senders is None:
+        senders = csr.order.tolist()
+    sending = np.isin(csr.order, list(senders))
+    seed_idx = np.nonzero(sending)[0]
+    edge_idx = np.nonzero(sending[csr.src])[0]
+    _RoundAccounting(engine, csr).record_round(seed_idx, edge_idx)
+
+
 class TestEngine:
     def test_seed_visitors_delivered(self):
         pg = two_rank_pgraph()
         engine = Engine(pg)
-        visited = []
-        engine.do_traversal(
-            (Visitor(v) for v in pg.graph.vertices()),
-            lambda ctx, vis: visited.append(vis.target),
+        csr = csr_of(pg.graph)
+        _RoundAccounting(engine, csr).record_round(
+            np.arange(csr.num_vertices), np.zeros(0, dtype=np.int64)
         )
-        assert sorted(visited) == [0, 1, 2, 3]
+        assert engine.stats.total_visits == 4
+        assert engine.stats.total_messages == 0
 
     def test_push_counts_messages(self):
         pg = two_rank_pgraph()
         engine = Engine(pg)
-
-        def visit(ctx, vis):
-            if vis.payload is None:
-                for nbr in ctx.graph.neighbors(vis.target):
-                    ctx.push(Visitor(nbr, "x", source=vis.target))
-
-        engine.do_traversal((Visitor(v) for v in pg.graph.vertices()), visit)
+        broadcast_round(engine)
         assert engine.stats.total_messages == 2 * pg.graph.num_edges
-        # alternating partition makes all pushes remote
+        # alternating partition makes all messages remote
         assert engine.stats.total_remote_messages == 6
+        # one visit per seed plus one per delivered message
+        assert engine.stats.total_visits == 4 + 6
 
     def test_quiescence(self):
         pg = two_rank_pgraph()
         engine = Engine(pg)
-        engine.do_traversal([Visitor(0)], lambda ctx, vis: None)
-        assert engine.pending() == 0
+        engine.record_batched_round([[0, 0], [0, 0]], [1, 0])
         assert engine.stats.total_barriers == 1
-
-    def test_multi_hop_propagation(self):
-        pg = two_rank_pgraph()
-        engine = Engine(pg)
-        reached = set()
-
-        def visit(ctx, vis):
-            depth = vis.payload or 0
-            if vis.target in reached:
-                return
-            reached.add(vis.target)
-            if depth < 3:
-                for nbr in ctx.graph.neighbors(vis.target):
-                    ctx.push(Visitor(nbr, depth + 1, source=vis.target))
-
-        engine.do_traversal([Visitor(0, 0)], visit)
-        assert reached == {0, 1, 2, 3}
+        assert engine.stats.total_visits == 1
 
     def test_deterministic_order(self):
         def run():
-            pg = two_rank_pgraph()
-            engine = Engine(pg, batch_size=2)
-            order = []
-
-            def visit(ctx, vis):
-                order.append(vis.target)
-                if vis.payload is None:
-                    for nbr in ctx.graph.neighbors(vis.target):
-                        ctx.push(Visitor(nbr, 1, source=vis.target))
-
-            engine.do_traversal((Visitor(v) for v in pg.graph.vertices()), visit)
-            return order
+            engine = Engine(two_rank_pgraph(), batch_size=2)
+            broadcast_round(engine)
+            broadcast_round(engine, senders=[1, 2])
+            return engine.stats.summary(), engine.stats.intervals
 
         assert run() == run()
-
-    def test_not_reentrant(self):
-        pg = two_rank_pgraph()
-        engine = Engine(pg)
-
-        def visit(ctx, vis):
-            engine.do_traversal([Visitor(0)], lambda c, v: None)
-
-        with pytest.raises(EngineError):
-            engine.do_traversal([Visitor(0)], visit)
 
     def test_bad_batch_size(self):
         with pytest.raises(EngineError):
@@ -214,11 +189,7 @@ class TestEngine:
             delegate_degree_threshold=5,
         )
         engine = Engine(pg)
-
-        def visit(ctx, vis):
-            if vis.payload is None and vis.target != 0:
-                ctx.push(Visitor(0, "to-hub", source=vis.target))
-
-        engine.do_traversal((Visitor(v) for v in g.vertices()), visit)
+        # every leaf sends to the hub, whose delegate copy is rank-local
+        broadcast_round(engine, senders=range(1, 9))
         assert engine.stats.total_remote_messages == 0
         assert engine.stats.total_messages == 8

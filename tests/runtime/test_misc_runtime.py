@@ -1,7 +1,7 @@
-"""Remaining runtime coverage: counters, visitor, merge helpers."""
+"""Remaining runtime coverage: counters and merge helpers."""
 
 from repro.core.pipeline import merge_message_stats
-from repro.runtime import MessageStats, Visitor
+from repro.runtime import MessageStats
 from repro.runtime.messages import PhaseCounters
 
 
@@ -19,19 +19,6 @@ class TestPhaseCounters:
         assert merged.barriers == 1
         # inputs untouched
         assert a.messages == 5 and b.messages == 3
-
-
-class TestVisitor:
-    def test_defaults_and_repr(self):
-        visitor = Visitor(3)
-        assert visitor.payload is None
-        assert visitor.source is None
-        assert "target=3" in repr(visitor)
-
-    def test_fields(self):
-        visitor = Visitor(1, payload=("x",), source=9)
-        assert visitor.source == 9
-        assert visitor.payload == ("x",)
 
 
 class TestMergeMessageStats:

@@ -1,65 +1,13 @@
-"""Tests for Safra-style quiescence detection accounting."""
+"""Termination-detection accounting of batched rounds.
 
-import pytest
+Every batched round closes at distributed quiescence: the engine charges
+the minimal clean detection exchange (two token circuits of one control
+message per rank, more when a round reports reactivation waves) and
+closes a barrier interval, and the cost model prices the control traffic.
+"""
 
-from repro.errors import EngineError
 from repro.graph import from_edges
-from repro.runtime import Engine, MessageStats, PartitionedGraph, Visitor
-from repro.runtime.quiescence import SafraDetector
-
-
-class TestDetector:
-    def test_minimum_two_circuits(self):
-        detector = SafraDetector(4)
-        for rank in range(4):
-            detector.rank_idle(rank)
-        detector.sweep_completed()
-        assert detector.circuits() == 2
-        assert detector.control_messages() == 8
-
-    def test_reactivation_forces_extra_circuit(self):
-        detector = SafraDetector(2)
-        detector.rank_idle(0)
-        detector.rank_activated(1)
-        detector.sweep_completed()
-        detector.rank_activated(0)  # 0 was seen idle, now has work again
-        detector.sweep_completed()
-        assert detector.reactivation_waves == 1
-        assert detector.circuits() == 3
-
-    def test_multiple_waves_counted_once_per_sweep(self):
-        detector = SafraDetector(4)
-        for rank in range(4):
-            detector.rank_idle(rank)
-        detector.sweep_completed()
-        detector.rank_activated(0)
-        detector.rank_activated(1)  # same wave
-        detector.sweep_completed()
-        assert detector.reactivation_waves == 1
-
-    def test_activation_without_prior_idle_is_free(self):
-        detector = SafraDetector(2)
-        detector.rank_activated(0)
-        detector.sweep_completed()
-        assert detector.reactivation_waves == 0
-
-    def test_finish_once(self):
-        detector = SafraDetector(2)
-        detector.finish()
-        with pytest.raises(EngineError):
-            detector.finish()
-
-    def test_zero_ranks_rejected(self):
-        with pytest.raises(EngineError):
-            SafraDetector(0)
-
-    def test_reset(self):
-        detector = SafraDetector(2)
-        detector.rank_idle(0)
-        detector.sweep_completed()
-        detector.rank_activated(0)
-        detector.reset()
-        assert detector.reactivation_waves == 0
+from repro.runtime import Engine, PartitionedGraph
 
 
 class TestEngineIntegration:
@@ -67,33 +15,30 @@ class TestEngineIntegration:
         g = from_edges([(0, 1), (1, 2), (2, 3)])
         return PartitionedGraph(g, 2, assignment={0: 0, 1: 1, 2: 0, 3: 1})
 
+    def quiet_round(self, engine, circuits=2):
+        engine.record_batched_round(
+            [[0, 0], [0, 0]], [1, 0], circuits=circuits
+        )
+
     def test_control_messages_recorded(self):
         engine = Engine(self.pgraph())
-        engine.do_traversal([Visitor(0)], lambda ctx, vis: None)
-        assert engine.stats.control_messages >= 2 * 2  # >= 2 circuits x ranks
-        assert engine.stats.detection_circuits >= 2
+        self.quiet_round(engine)
+        assert engine.stats.control_messages == 2 * 2  # 2 circuits x ranks
+        assert engine.stats.detection_circuits == 2
 
     def test_ping_pong_needs_more_circuits(self):
-        """Work bouncing between ranks reactivates idle ranks."""
-        engine = Engine(self.pgraph())
-
-        def visit(ctx, vis):
-            depth = vis.payload
-            if depth < 6:
-                # forward to the other rank's vertex only
-                target = 1 if vis.target in (0, 2) else 0
-                ctx.push(Visitor(target, depth + 1, source=vis.target))
-
+        """A round with reactivation waves pays extra circuits."""
         quiet = Engine(self.pgraph())
-        quiet.do_traversal([Visitor(0, 99)], lambda c, v: None)
-        engine.do_traversal([Visitor(0, 0)], visit)
-        assert engine.stats.control_messages >= quiet.stats.control_messages
+        self.quiet_round(quiet)
+        engine = Engine(self.pgraph())
+        self.quiet_round(engine, circuits=4)
+        assert engine.stats.control_messages > quiet.stats.control_messages
 
     def test_control_messages_in_summary_and_cost(self):
         from repro.runtime import CostModel
 
         engine = Engine(self.pgraph())
-        engine.do_traversal([Visitor(0)], lambda ctx, vis: None)
+        self.quiet_round(engine)
         summary = engine.stats.summary()
         assert summary["control_messages"] == engine.stats.control_messages
         with_control = CostModel().makespan(engine.stats)
@@ -102,7 +47,7 @@ class TestEngineIntegration:
 
     def test_per_traversal_reset(self):
         engine = Engine(self.pgraph())
-        engine.do_traversal([Visitor(0)], lambda ctx, vis: None)
+        self.quiet_round(engine)
         first = engine.stats.control_messages
-        engine.do_traversal([Visitor(0)], lambda ctx, vis: None)
+        self.quiet_round(engine)
         assert engine.stats.control_messages == 2 * first

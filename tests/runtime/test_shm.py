@@ -5,12 +5,11 @@ Covers the three guarantees of the zero-copy pool:
 * segment lifecycle — owner creates/unlinks exactly once, attachers get
   read-only zero-copy views, nothing leaks after pool close or a worker
   exception (``/dev/shm`` is scanned directly);
-* payload parity — a packed-bitmap ``array`` task reconstructs, worker
-  side, exactly the scope the legacy dict payload ships;
-* result parity — pooled runs (shm bitmaps on or off) are bit-identical
-  to the sequential dict oracle on KERNEL-STRESS- and NLCC-STRESS-shaped
-  workloads, and stable across repeated runs (the dropped per-vertex
-  ``sorted()`` in ``state_to_payload`` must not matter).
+* payload parity — a packed-bitmap task reconstructs, worker side,
+  exactly the scope the dict state scoping cuts;
+* result parity — pooled runs are bit-identical to the sequential sweep
+  on KERNEL-STRESS- and NLCC-STRESS-shaped workloads, exact against the
+  brute-force oracle, and stable across repeated runs.
 """
 
 import glob
@@ -20,6 +19,7 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.analysis.audit import audit_result
 from repro.core import PipelineOptions, run_pipeline
 from repro.core.arraystate import ArraySearchState, csr_of
 from repro.core.candidate_set import max_candidate_set
@@ -82,9 +82,7 @@ def nlcc_workload():
 
 
 def array_options(**overrides):
-    base = dict(
-        num_ranks=2, count_matches=True, array_state=True, array_nlcc=True
-    )
+    base = dict(num_ranks=2, count_matches=True)
     base.update(overrides)
     return PipelineOptions(**base)
 
@@ -242,29 +240,18 @@ class TestPoolLifecycle:
         pool = PrototypeSearchPool(
             graph, template, 1, array_options(worker_processes=2), 2
         )
-        assert pool.array_payloads
         name = pool._shm.name
         assert name in shm_segments()
         # An unknown prototype id blows up inside the worker; the pool
         # (and its segment) must still tear down cleanly afterwards.
         future = pool._pool.submit(
-            _search_task, PoolTask(999, "array", (b"", b"", None), 0)
+            _search_task, PoolTask(999, (b"", b"", None), 0)
         )
         with pytest.raises(KeyError):
             future.result()
         pool.close()
         assert name not in shm_segments()
         assert_no_segments()
-
-    def test_shm_pool_off_exports_nothing(self):
-        graph, template = kernel_workload()
-        with PrototypeSearchPool(
-            graph, template, 1,
-            array_options(worker_processes=2, shm_pool=False), 2,
-        ) as pool:
-            assert not pool.array_payloads
-            assert pool._shm is None
-            assert_no_segments()
 
 
 class TestPayloadParity:
@@ -307,12 +294,16 @@ class TestPayloadParity:
             base_state, roles=sorted(template.graph.vertices())
         )
         from repro.core.prototypes import generate_prototypes
-        from repro.runtime.parallel import dict_task
 
         proto = next(iter(generate_prototypes(template, 1, None)))
         packed = array_task(proto.id, base_astate.for_prototype_search(proto))
-        legacy = dict_task(proto.id, base_state.for_prototype_search(proto))
-        assert len(pickle.dumps(packed)) * 10 < len(pickle.dumps(legacy))
+        # the same scope as per-vertex candidate lists plus an edge list
+        scope = base_state.for_prototype_search(proto)
+        listed = (
+            [(v, list(roles)) for v, roles in scope.candidates.items()],
+            scope.active_edge_list(),
+        )
+        assert len(pickle.dumps(packed)) * 10 < len(pickle.dumps(listed))
 
 
 class TestPooledParity:
@@ -320,16 +311,11 @@ class TestPooledParity:
     def test_pipeline_matches_sequential(self, workload):
         graph, template = workload()
         sequential = run_pipeline(graph, template, 1, array_options())
-        pooled_shm = run_pipeline(
+        pooled = run_pipeline(
             graph, template, 1, array_options(worker_processes=2)
         )
-        pooled_dict = run_pipeline(
-            graph, template, 1,
-            array_options(worker_processes=2, shm_pool=False),
-        )
-        assert_results_equal(pooled_shm, sequential)
-        assert_results_equal(pooled_dict, sequential)
-        assert_results_equal(pooled_shm, pooled_dict, stats=True)
+        assert_results_equal(pooled, sequential)
+        assert audit_result(graph, pooled).exact
         assert_no_segments()
 
     def test_exploratory_matches_sequential(self):
@@ -346,19 +332,13 @@ class TestPooledParity:
         assert_no_segments()
 
     def test_pooled_results_order_stable(self):
-        # state_to_payload ships role sets unsorted; determinism must come
-        # from task-order result collection, in both payload formats.
+        # Determinism comes from task-order result collection, not from
+        # which worker finishes first.
         graph, template = nlcc_workload()
         first = run_pipeline(
-            graph, template, 1,
-            array_options(worker_processes=2, shm_pool=False),
+            graph, template, 1, array_options(worker_processes=2)
         )
         second = run_pipeline(
-            graph, template, 1,
-            array_options(worker_processes=2, shm_pool=False),
-        )
-        shm = run_pipeline(
             graph, template, 1, array_options(worker_processes=2)
         )
         assert_results_equal(second, first, stats=True)
-        assert_results_equal(shm, first, stats=True)

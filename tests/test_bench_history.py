@@ -11,6 +11,7 @@ if str(BENCHMARKS) not in sys.path:
     sys.path.insert(0, str(BENCHMARKS))
 
 from compare_bench import (  # noqa: E402
+    RETIRED,
     TRACKED,
     append_history,
     compare,
@@ -22,9 +23,9 @@ from compare_bench import (  # noqa: E402
 def payload(**overrides):
     row = {
         "name": "W-1",
-        "speedup_kernel_delta": 4.0,
-        "speedup_array_vs_delta": 3.0,
-        "visit_reduction_delta": 2.0,
+        "speedup_array_enum": 4.0,
+        "speedup_batched_census": 3.0,
+        "speedup_kernel_delta": 2.0,  # retired ratio, must be trimmed
         "wall_seconds": 1.23,  # untracked noise, must be trimmed
     }
     row.update(overrides)
@@ -37,14 +38,12 @@ class TestHistoryEntry:
         assert entry["commit"] == "abc1234"
         assert entry["recorded_unix"] > 0
         row, = entry["workloads"]
-        # untracked fields are trimmed; tracked ratios the row doesn't
-        # carry (here the NLCC bench's) are omitted rather than None
+        # untracked and retired fields are trimmed
         assert set(row) == {
-            "name", "speedup_kernel_delta", "speedup_array_vs_delta",
-            "visit_reduction_delta",
+            "name", "speedup_array_enum", "speedup_batched_census",
         }
         assert set(row) <= {"name", *TRACKED}
-        assert row["speedup_kernel_delta"] == 4.0
+        assert row["speedup_array_enum"] == 4.0
 
     def test_default_commit_is_resolved(self):
         entry = history_entry(payload())
@@ -59,13 +58,13 @@ class TestHistoryFile:
         path = tmp_path / "hist.jsonl"
         first = history_entry(payload(), commit="aaa")
         second = history_entry(
-            payload(speedup_kernel_delta=5.0), commit="bbb"
+            payload(speedup_array_enum=5.0), commit="bbb"
         )
         append_history(path, first)
         append_history(path, second)
         entries = load_history(path)
         assert [e["commit"] for e in entries] == ["aaa", "bbb"]
-        assert entries[-1]["workloads"][0]["speedup_kernel_delta"] == 5.0
+        assert entries[-1]["workloads"][0]["speedup_array_enum"] == 5.0
         # each line is standalone JSON (append-only log survives truncation)
         lines = path.read_text().splitlines()
         assert all(json.loads(line) for line in lines)
@@ -77,14 +76,15 @@ class TestHistoryFile:
         for entry in entries:
             assert entry["commit"]
             for row in entry["workloads"]:
+                # entries recorded before a ratio was retired keep it
                 tracked = set(row) - {"name"}
-                assert tracked and tracked <= set(TRACKED)
+                assert tracked and tracked <= set(TRACKED) | set(RETIRED)
 
 
 class TestCompare:
     def test_within_tolerance_passes(self):
         base = history_entry(payload(), commit="x")
-        fresh = payload(speedup_kernel_delta=3.2)  # 20% drop
+        fresh = payload(speedup_array_enum=3.2)  # 20% drop
         rows, failures = compare(
             {"workloads": base["workloads"]}, fresh, tolerance=0.25
         )
@@ -93,17 +93,17 @@ class TestCompare:
 
     def test_regression_fails(self):
         base = history_entry(payload(), commit="x")
-        fresh = payload(speedup_array_vs_delta=2.0)  # 33% drop
+        fresh = payload(speedup_array_enum=2.0)  # 50% drop
         _rows, failures = compare(
             {"workloads": base["workloads"]}, fresh, tolerance=0.25
         )
         assert failures
-        assert "W-1.speedup_array_vs_delta" in failures[0]
+        assert "W-1.speedup_array_enum" in failures[0]
 
     def test_improvement_always_passes(self):
         base = history_entry(payload(), commit="x")
         fresh = payload(
-            speedup_kernel_delta=40.0, speedup_array_vs_delta=30.0
+            speedup_array_enum=40.0, speedup_batched_census=30.0
         )
         _rows, failures = compare(
             {"workloads": base["workloads"]}, fresh, tolerance=0.25

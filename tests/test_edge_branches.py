@@ -13,7 +13,7 @@ from repro.errors import GraphError, PipelineError
 from repro.graph import from_edges
 from repro.graph.generators import planted_graph
 from repro.graph.graph import Graph
-from repro.runtime import CostModel, Engine, MessageStats, PartitionedGraph, Visitor
+from repro.runtime import CostModel, MessageStats
 
 
 class TestCliGenerateRmat:
@@ -24,22 +24,6 @@ class TestCliGenerateRmat:
         code = main(["generate", "rmat", str(output), "--size", "300"])
         assert code == 0
         assert output.exists()
-
-
-class TestEngineContext:
-    def test_context_exposes_graph_and_pgraph(self):
-        g = from_edges([(0, 1)])
-        pg = PartitionedGraph(g, 1)
-        engine = Engine(pg)
-        seen = {}
-
-        def visit(ctx, vis):
-            seen["graph"] = ctx.graph
-            seen["pgraph"] = ctx.pgraph
-
-        engine.do_traversal([Visitor(0)], visit)
-        assert seen["graph"] is g
-        assert seen["pgraph"] is pg
 
 
 class TestCostModelEdgeCases:
