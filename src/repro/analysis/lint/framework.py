@@ -65,8 +65,8 @@ HOT_MODULE_BASENAMES = frozenset(
 
 #: the driver set every PipelineOptions field must be threaded through
 DRIVER_BASENAMES = frozenset(
-    {"search.py", "pipeline.py", "topdown.py", "restart.py", "parallel.py",
-     "naive.py"}
+    {"search.py", "sweep.py", "pipeline.py", "topdown.py", "restart.py",
+     "parallel.py", "naive.py"}
 )
 
 _SUPPRESS_RE = re.compile(

@@ -23,23 +23,18 @@ from __future__ import annotations
 
 import itertools
 import time
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from ..errors import TemplateError
 from ..graph.algorithms import is_connected
-from ..graph.graph import Graph, canonical_edge
+from ..graph.graph import Graph
 from ..graph.isomorphism import canonical_form
-from ..runtime.engine import Engine
-from ..runtime.messages import MessageStats
-from ..runtime.partition import PartitionedGraph
-from .candidate_set import max_candidate_set
-from .constraints import generate_constraints
-from .ordering import order_constraints
+from .arraystate import ArraySearchState
 from .pipeline import PipelineOptions
 from .prototypes import Prototype
 from .results import PrototypeSearchOutcome
-from .search import search_prototype
 from .state import NlccCache
+from .sweep import ConstraintPlans, search_setup, search_step
 from .template import PatternTemplate
 
 
@@ -170,9 +165,11 @@ def run_flip_pipeline(
 ) -> FlipResult:
     """Exact matching over every variant within ``flips`` edge swaps.
 
-    Builds the family-wide candidate set once, then runs the standard
-    per-prototype search for each variant with shared NLCC recycling;
-    per-variant results carry the usual 100% precision/recall guarantee.
+    Builds the family-wide candidate set once (the sweep's
+    :func:`~repro.core.sweep.search_setup` on the envelope template), then
+    runs the sweep's per-prototype step for each variant with shared NLCC
+    recycling; per-variant results carry the usual 100% precision/recall
+    guarantee.
     """
     options = options or PipelineOptions()
     wall_start = time.perf_counter()
@@ -181,51 +178,26 @@ def run_flip_pipeline(
     result.variants = variants
 
     envelope = envelope_template(template, variants)
-    pgraph = PartitionedGraph(
-        graph,
-        options.num_ranks,
-        delegate_degree_threshold=options.delegate_degree_threshold,
-        ranks_per_node=options.ranks_per_node,
+    setup = search_setup(graph, envelope, options)
+    base_astate = ArraySearchState.from_search_state(
+        setup.base_state, roles=sorted(envelope.graph.vertices())
     )
-    mcs_engine = Engine(
-        pgraph, MessageStats(options.num_ranks), options.batch_size,
-        tracer=options.tracer, metrics=options.metrics,
+    result.candidate_set_vertices = setup.base_state.num_active_vertices
+    assert setup.mstar_stats is not None
+    result.total_simulated_seconds += options.cost_model.makespan(
+        setup.mstar_stats
     )
-    base_state = max_candidate_set(graph, envelope, mcs_engine)
-    result.candidate_set_vertices = base_state.num_active_vertices
-    result.total_simulated_seconds += options.cost_model.makespan(mcs_engine.stats)
 
-    label_frequencies = graph.label_counts()
+    plans = ConstraintPlans(graph, options)
     cache = NlccCache() if options.work_recycling else None
     for index, variant in enumerate(variants):
         proto = Prototype(index, 0, index, variant.graph.copy(), variant)
         proto.name = variant.name
-        constraint_set = generate_constraints(
-            proto.graph, label_frequencies, options.include_full_walk
-        )
-        constraint_set.non_local = order_constraints(
-            constraint_set.non_local,
-            label_frequencies,
-            optimize=options.constraint_ordering,
-        )
-        state = base_state.for_prototype_search(proto)
-        stats = MessageStats(options.num_ranks)
-        engine = Engine(
-            pgraph, stats, options.batch_size, tracer=options.tracer,
-            metrics=options.metrics,
-        )
-        outcome = search_prototype(
-            state,
-            proto,
-            constraint_set,
-            engine,
-            cache=cache,
-            recycle=options.work_recycling,
-            count_matches=options.count_matches,
+        outcome, _state, _stats = search_step(
+            proto, plans(proto), base_astate.for_prototype_search(proto),
+            setup.search_pgraph, options, cache,
             collect_matches=options.collect_matches,
-            verification=options.verification,
         )
-        outcome.simulated_seconds = options.cost_model.makespan(stats)
         result.total_simulated_seconds += outcome.simulated_seconds
         result.outcomes[variant.name] = outcome
         for vertex in outcome.solution_vertices:

@@ -5,6 +5,8 @@ candidate set, then search each level — starting from the furthest
 edit-distance — inside the union of the previous level's solution
 subgraphs (the containment rule), recycling non-local constraint results
 across prototypes, and producing the per-vertex approximate match vectors.
+The level loop itself is :class:`~repro.core.sweep.LevelSweep`, shared
+with the exploratory and checkpointed drivers.
 
 Every optimization of §4/§5.4 is a :class:`PipelineOptions` knob, so the
 ablation benchmarks (naïve / X / Y / Z scenarios of Fig. 8) are plain
@@ -13,39 +15,23 @@ option combinations of the same code path.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
-    from ..runtime.parallel import PrototypeSearchPool
-    from .arraystate import ArraySearchState
+    from .candidate_set import CandidateSetMemo
 
 from ..errors import PipelineError
 from ..graph.graph import Graph
-from ..runtime.engine import Engine
-from ..runtime.messages import CostModel, MessageStats
+from ..runtime.messages import CostModel
 from ..runtime.metrics import ConstraintCostModel, MetricsRegistry
-from ..runtime.partition import PartitionedGraph, balanced_assignment, hash_assignment
 from ..runtime.trace import NULL_TRACER
-from .constraints import generate_constraints
-from .enumeration import (
-    distinct_match_count,
-    extend_from_child_matches,
-    state_from_matches,
-)
-from .candidate_set import CandidateSetMemo, max_candidate_set
-from .ordering import (
-    estimate_prototype_cost,
-    order_constraints,
-    parallel_makespan,
-    schedule_prototypes,
-)
-from .prototypes import Prototype, PrototypeSet, generate_prototypes
-from .results import LevelReport, PipelineResult, PrototypeSearchOutcome
-from .search import search_prototype
-from .state import NlccCache, SearchState
+from .prototypes import PrototypeSet
+from .results import PipelineResult
+from .sweep import LevelSweep, merge_message_stats
 from .template import PatternTemplate
+
+__all__ = ["PipelineOptions", "PipelineResult", "merge_message_stats", "run_pipeline"]
 
 
 @dataclass
@@ -68,9 +54,6 @@ class PipelineOptions:
     #: initial vertex-to-rank assignment: "hash" (HavoqGT default) or
     #: "block" (contiguous ids — skew-prone, the no-load-balancing strawman)
     partition_strategy: str = "hash"
-    #: per-rank scheduling batch of the modeled engine (``Engine.batch_size``);
-    #: rounds are accounted whole, so no result or counter depends on it
-    batch_size: int = 64
     #: search-space reduction: compute M* before any search (§3.1)
     use_max_candidate_set: bool = True
     #: search-space reduction: containment rule across levels (Obs. 1)
@@ -170,10 +153,6 @@ class PipelineOptions:
             )
 
 
-#: simulated seconds per active edge to checkpoint + reload a pruned graph
-REBALANCE_COST_PER_EDGE = 2.0e-6
-
-
 def run_pipeline(
     graph: Graph,
     template: PatternTemplate,
@@ -201,593 +180,8 @@ def run_pipeline(
     with options.tracer.span(
         "pipeline", template=template.name, k=k, mode="bottom-up"
     ):
-        return _run_bottom_up(
-            graph, template, k, options, prototype_set, candidate_memo
+        sweep = LevelSweep(
+            graph, template, k, options,
+            prototype_set=prototype_set, candidate_memo=candidate_memo,
         )
-
-
-def _run_bottom_up(
-    graph: Graph,
-    template: PatternTemplate,
-    k: int,
-    options: PipelineOptions,
-    prototype_set: Optional[PrototypeSet],
-    candidate_memo: Optional["CandidateSetMemo"] = None,
-) -> PipelineResult:
-    """Alg. 1 body; the caller owns the enclosing ``pipeline`` span."""
-    from .kernels import kernel_cache_stats
-    from .prototypes import prototype_cache_stats
-
-    tracer = options.tracer
-    wall_start = time.perf_counter()
-    # Process-wide compile caches: this run's traffic is the delta against
-    # the totals at entry, folded into the per-run registry at the end.
-    kernel_cache_before = kernel_cache_stats()
-    prototype_cache_before = prototype_cache_stats()
-    protos = prototype_set or generate_prototypes(
-        template, k, max_prototypes=options.max_prototypes
-    )
-    label_frequencies = graph.label_counts()
-
-    walk_stats = None
-    if options.constraint_ordering == "walk-cost":
-        from .cost_estimation import GraphStatistics, order_constraints_by_cost
-
-        walk_stats = GraphStatistics.from_graph(graph)
-    constraint_sets = {}
-    for proto in protos:
-        constraint_set = generate_constraints(
-            proto.graph, label_frequencies, options.include_full_walk
-        )
-        if walk_stats is not None:
-            constraint_set.non_local = order_constraints_by_cost(
-                constraint_set.non_local, walk_stats
-            )
-        else:
-            constraint_set.non_local = order_constraints(
-                constraint_set.non_local,
-                label_frequencies,
-                optimize=bool(options.constraint_ordering),
-            )
-        constraint_sets[proto.id] = constraint_set
-
-    result = PipelineResult(template.name, k, protos)
-    all_stats: List[MessageStats] = []
-    cache = NlccCache() if options.work_recycling else None
-    cost_model = options.cost_model
-
-    # ------------------------------------------------------------- M*
-    base_pgraph = PartitionedGraph(
-        graph,
-        options.num_ranks,
-        assignment=_initial_assignment(graph, options.num_ranks, options),
-        delegate_degree_threshold=options.delegate_degree_threshold,
-        ranks_per_node=options.ranks_per_node,
-    )
-    mcs_stats = MessageStats(options.num_ranks)
-    mcs_engine = Engine(
-        base_pgraph, mcs_stats, options.batch_size, tracer=tracer,
-        metrics=options.metrics,
-    )
-    if options.use_max_candidate_set:
-        base_state = max_candidate_set(
-            graph, template, mcs_engine,
-            memo=candidate_memo, adaptive=options.adaptive,
-        )
-    else:
-        base_state = SearchState.initial(graph, template)
-    all_stats.append(mcs_stats)
-    (
-        result.candidate_set_vertices,
-        result.candidate_set_edges,
-    ) = base_state.active_counts()
-    result.candidate_set_seconds = cost_model.makespan(mcs_stats)
-
-    # ---------------------------------------------- search deployment
-    # `reload_ranks` is Optional[int]; reload_ranks=0 must disable the
-    # reload exactly like None instead of leaking a falsy int into the
-    # flag or the rank arithmetic (repro-lint R1).
-    reload_requested = (
-        options.reload_ranks is not None and options.reload_ranks != 0
-    )
-    search_ranks = (
-        options.reload_ranks if reload_requested else options.num_ranks
-    )
-    deployment_ranks = max(1, search_ranks // options.parallel_deployments)
-    infrastructure = 0.0
-    rebalancing = options.load_balance == "reshuffle" or reload_requested
-    if rebalancing:
-        pruned = base_state.to_graph()
-        infrastructure += REBALANCE_COST_PER_EDGE * (
-            2 * pruned.num_edges + pruned.num_vertices
-        )
-        assignment = _initial_assignment(graph, deployment_ranks, options)
-        assignment.update(balanced_assignment(pruned, deployment_ranks))
-        search_pgraph = PartitionedGraph(
-            graph,
-            deployment_ranks,
-            assignment=assignment,
-            delegate_degree_threshold=options.delegate_degree_threshold,
-            ranks_per_node=options.ranks_per_node,
-        )
-    elif deployment_ranks == options.num_ranks:
-        search_pgraph = base_pgraph
-    else:
-        search_pgraph = PartitionedGraph(
-            graph,
-            deployment_ranks,
-            assignment=_initial_assignment(graph, deployment_ranks, options),
-            delegate_degree_threshold=options.delegate_degree_threshold,
-            ranks_per_node=options.ranks_per_node,
-        )
-
-    # ------------------------------------------------------ level sweep
-    # Per-child stored matches for the enumeration optimization: dense
-    # ArrayMatchSet tables, or per-match dict lists for full-walk
-    # collections.
-    stored_matches: Dict[int, Any] = {}
-    # The previous level's union: a dict state from an in-process level,
-    # an array state from a pooled one.  It is converted to array form
-    # at most once per level.
-    union_prev: "SearchState | ArraySearchState | None" = None
-    deepest = protos.max_distance
-
-    # Level-persistent array mode: the scope state (M* / previous level's
-    # union) is converted to array form once per level, each prototype's
-    # starting scope is derived in array form (with a warm-seeded first
-    # LCC round when it comes from the union), and the whole search runs
-    # on that one array state.
-    from .arraystate import ArraySearchState
-
-    template_roles = sorted(template.graph.vertices())
-    base_astate = ArraySearchState.from_search_state(
-        base_state, roles=template_roles
-    )
-
-    pool = None
-    if options.worker_processes > 1:
-        from ..runtime.parallel import PrototypeSearchPool
-
-        pool = PrototypeSearchPool(
-            graph, template, protos.max_distance, options,
-            options.worker_processes,
-        )
-
-    try:
-        for distance in range(deepest, -1, -1):
-            with tracer.span("level", distance=distance) as level_span:
-                level_wall = time.perf_counter()
-                level = LevelReport(distance)
-                level_states: List[SearchState] = []
-                next_stored: Dict[int, Any] = {}
-
-                union_astate = None
-                if isinstance(union_prev, ArraySearchState):
-                    union_astate = union_prev
-                elif union_prev is not None:
-                    # One conversion per level: every prototype scope below
-                    # is derived from this array form without a dict round
-                    # trip.
-                    union_astate = ArraySearchState.from_search_state(
-                        union_prev, roles=template_roles
-                    )
-
-                if pool is not None and len(protos.at(distance)) > 1:
-                    union_prev = _pooled_level(
-                        pool, protos, distance, deepest, base_astate,
-                        union_astate, options, level, result,
-                    )
-                    _finish_level(
-                        level, result, options, label_frequencies,
-                        union_prev, rebalancing, distance, level_wall,
-                        span=level_span,
-                    )
-                    stored_matches = {}
-                    continue
-
-                for proto in protos.at(distance):
-                    extended = None
-                    if options.enumeration_optimization and distance < deepest:
-                        extended = _try_extension(proto, stored_matches, graph)
-                    if extended is not None:
-                        outcome, proto_state = extended
-                        next_stored[proto.id] = (
-                            outcome.match_set
-                            if outcome.match_set is not None
-                            else outcome.matches
-                        )
-                    else:
-                        # The dict state is only materialized by the
-                        # search's final write_back.
-                        proto_state = SearchState.empty(graph)
-                        array_scope, warm_mask = _starting_astate(
-                            proto, distance, deepest, base_astate,
-                            union_astate, options,
-                        )
-                        if base_astate.csr.parent is not None:
-                            result.aux_view_reuse += 1
-                        stats = MessageStats(deployment_ranks)
-                        engine = Engine(
-                            search_pgraph, stats, options.batch_size,
-                            tracer=tracer, metrics=options.metrics,
-                        )
-                        outcome = search_prototype(
-                            proto_state,
-                            proto,
-                            constraint_sets[proto.id],
-                            engine,
-                            cache=cache,
-                            recycle=options.work_recycling,
-                            count_matches=options.count_matches,
-                            collect_matches=(
-                                options.collect_matches or options.enumeration_optimization
-                            ),
-                            verification=options.verification,
-                            array_scope=array_scope,
-                            warm_mask=warm_mask,
-                            adaptive=options.adaptive,
-                            constraint_costs=options.constraint_costs,
-                        )
-                        outcome.simulated_seconds = cost_model.makespan(stats)
-                        outcome.messages = stats.total_messages
-                        outcome.remote_messages = stats.total_remote_messages
-                        all_stats.append(stats)
-                        if outcome.matches is not None and options.enumeration_optimization:
-                            next_stored[proto.id] = (
-                                outcome.match_set
-                                if outcome.match_set is not None
-                                else outcome.matches
-                            )
-                    if not options.collect_matches:
-                        outcome.matches = None
-                    level.outcomes.append(outcome)
-                    level_states.append(proto_state)
-                    for vertex in outcome.solution_vertices:
-                        result.match_vectors.setdefault(vertex, set()).add(proto.id)
-
-                # Union of this level's solution subgraphs = next level's scope.
-                union_dict = SearchState.empty(graph)
-                for state in level_states:
-                    union_dict.union_with(state)
-                union_prev = union_dict
-                _finish_level(
-                    level, result, options, label_frequencies, union_dict,
-                    rebalancing, distance, level_wall, span=level_span,
-                )
-                stored_matches = next_stored
-
-                # GraphMini-style auxiliary graph: once the union has
-                # pruned far enough, pack the surviving adjacency into a
-                # compact CSR sub-view and run the remaining levels on it.
-                # Sound only when every remaining prototype starts from
-                # the union (child-linked + containment on): the view is
-                # vertex-induced, so Obs. 1's readmitted background edges
-                # between surviving vertices are all present and the
-                # restricted scopes are bit-identical to the full-graph
-                # ones.  Views nest as later levels keep pruning.
-                if (
-                    options.aux_views
-                    and pool is None
-                    and distance > 0
-                    and options.use_containment
-                    and not rebalancing
-                    and level.union_vertices > 0
-                    and level.union_vertices
-                    <= options.aux_view_ratio * base_astate.csr.num_vertices
-                    and all(
-                        p.child_links
-                        for d in range(distance)
-                        for p in protos.at(d)
-                    )
-                ):
-                    union_arr = ArraySearchState.from_search_state(
-                        union_dict, roles=template_roles
-                    )
-                    view = base_astate.csr.induced_view(
-                        union_arr.vertex_active
-                    )
-                    graph = view.graph
-                    base_astate = base_astate.restrict_to_view(view)
-                    union_prev = union_arr.restrict_to_view(view)
-                    search_pgraph = PartitionedGraph(
-                        graph,
-                        deployment_ranks,
-                        assignment=_initial_assignment(
-                            graph, deployment_ranks, options
-                        ),
-                        delegate_degree_threshold=(
-                            options.delegate_degree_threshold
-                        ),
-                        ranks_per_node=options.ranks_per_node,
-                    )
-                    result.aux_views_built += 1
-                    result.aux_view_sizes.append(
-                        (view.num_vertices, view.num_directed_edges // 2)
-                    )
-                    if tracer.enabled:
-                        with tracer.span(
-                            "aux_view", distance=distance
-                        ) as view_span:
-                            view_span.add(
-                                vertices=view.num_vertices,
-                                edges=view.num_directed_edges // 2,
-                            )
-    finally:
-        if pool is not None:
-            pool.close()
-
-    # ------------------------------------------------------------ totals
-    result.total_infrastructure_seconds = infrastructure + sum(
-        level.infrastructure_seconds for level in result.levels
-    )
-    result.total_simulated_seconds = (
-        result.candidate_set_seconds
-        + sum(level.search_seconds for level in result.levels)
-        + result.total_infrastructure_seconds
-    )
-    result.total_wall_seconds = time.perf_counter() - wall_start
-    result.message_summary = merge_message_stats(all_stats)
-    if cache is not None:
-        constraints, entries = cache.size()
-        result.nlcc_cache_stats = {
-            "hits": cache.hits,
-            "misses": cache.misses,
-            "constraints": constraints,
-            "entries": entries,
-        }
-    metrics = options.metrics
-    for name, before, after in (
-        ("cache.kernel", kernel_cache_before, kernel_cache_stats()),
-        ("cache.prototype", prototype_cache_before, prototype_cache_stats()),
-    ):
-        for kind in ("hits", "misses"):
-            delta = after[kind] - before[kind]
-            if delta:
-                metrics.counter(f"{name}.{kind}").inc(delta)
-    result.metrics = metrics
-    return result
-
-
-def _initial_assignment(
-    graph: Graph, num_ranks: int, options: PipelineOptions
-) -> Dict[int, int]:
-    """Initial vertex-to-rank map per the configured strategy."""
-    if options.partition_strategy == "block":
-        from ..runtime.partition import block_assignment
-
-        return block_assignment(sorted(graph.vertices()), num_ranks)
-    return hash_assignment(graph.vertices(), num_ranks)
-
-
-def _finish_level(
-    level: LevelReport,
-    result: PipelineResult,
-    options: PipelineOptions,
-    label_frequencies: Dict[int, int],
-    union: "SearchState | ArraySearchState",
-    rebalancing: bool,
-    distance: int,
-    level_wall: float,
-    span: Any = None,
-) -> None:
-    """Shared level epilogue: scheduling time, union sizes, bookkeeping.
-
-    ``span`` is the level's trace span (or a null span); the computed
-    union/post-LCC sizes double as its counters.
-    """
-    costs = [o.simulated_seconds for o in level.outcomes]
-    if options.parallel_deployments > 1 and len(costs) > 1:
-        if options.prototype_cost_source == "measured":
-            schedule_costs = costs
-        else:
-            schedule_costs = [
-                estimate_prototype_cost(o.prototype, label_frequencies)
-                for o in level.outcomes
-            ]
-        batches = schedule_prototypes(
-            schedule_costs,
-            options.parallel_deployments,
-            optimize=options.prototype_ordering,
-        )
-        level.search_seconds = parallel_makespan(costs, batches)
-    else:
-        level.search_seconds = sum(costs)
-    # One O(E) pass for the union sizes, shared by the report fields and
-    # the rebalancing cost below (num_active_edges itself is O(E)).
-    union_vertices, union_edges = union.active_counts()
-    level.union_vertices = union_vertices
-    level.union_edges = union_edges
-    level.post_lcc_vertices = sum(o.post_lcc_vertices for o in level.outcomes)
-    level.post_lcc_edges = sum(o.post_lcc_edges for o in level.outcomes)
-    if span is not None:
-        span.add(
-            prototypes=len(level.outcomes),
-            union_vertices=union_vertices,
-            union_edges=union_edges,
-            post_lcc_vertices=level.post_lcc_vertices,
-            post_lcc_edges=level.post_lcc_edges,
-        )
-    if rebalancing and distance > 0:
-        level.infrastructure_seconds = REBALANCE_COST_PER_EDGE * (
-            2 * union_edges + union_vertices
-        )
-    level.wall_seconds = time.perf_counter() - level_wall
-    result.levels.append(level)
-
-
-def _pooled_level(
-    pool: "PrototypeSearchPool",
-    protos: PrototypeSet,
-    distance: int,
-    deepest: int,
-    base_astate: "ArraySearchState",
-    union_astate: Optional["ArraySearchState"],
-    options: PipelineOptions,
-    level: LevelReport,
-    result: PipelineResult,
-) -> "ArraySearchState":
-    """Execute one level's searches on the pool, arrays end to end.
-
-    Scopes are cut by :func:`_starting_astate` and shipped as packed
-    bitmaps over the pool's shared CSR — no dict ``SearchState`` is ever
-    materialized on this path.  Workers return packed solution bitmaps
-    that are OR-ed into an array-form union whose role masks stay zero
-    (the next level re-derives roles from labels when it scopes).
-    """
-    from ..runtime.parallel import array_task, payload_to_outcome
-    from .arraystate import ArraySearchState, unpack_bits
-
-    tasks = []
-    for proto in protos.at(distance):
-        scoped, warm_mask = _starting_astate(
-            proto, distance, deepest, base_astate, union_astate, options
-        )
-        tasks.append(array_task(proto.id, scoped, warm_mask))
-    csr = base_astate.csr
-    union = ArraySearchState.empty(base_astate.graph)
-    tracer = options.tracer
-    for payload in pool.search_level(tasks):
-        proto = protos.by_id(payload["proto_id"])
-        outcome = payload_to_outcome(
-            proto, payload, tracer=tracer, metrics=options.metrics
-        )
-        level.outcomes.append(outcome)
-        for vertex in outcome.solution_vertices:
-            result.match_vectors.setdefault(vertex, set()).add(proto.id)
-        vertex_bits, edge_bits = payload["solution_bits"]
-        union.vertex_active |= unpack_bits(vertex_bits, csr.num_vertices)
-        union.edge_alive |= unpack_bits(edge_bits, csr.num_directed_edges)
-    return union
-
-
-def _starting_astate(
-    proto: Prototype,
-    distance: int,
-    deepest: int,
-    base_astate: "ArraySearchState",
-    union_astate: Optional["ArraySearchState"],
-    options: PipelineOptions,
-) -> Tuple["ArraySearchState", Optional[Any]]:
-    """Array-form scope for one prototype search, per the containment rule.
-
-    Returns ``(scope, warm_mask)``.  When the scope derives from the
-    previous level's union, ``warm_mask`` flags the vertices whose state
-    actually differs from that union (activity changes plus endpoints of
-    aliveness changes) — the surviving worklist that seeds the first LCC
-    round's broadcast accounting instead of a cold full broadcast.  Scopes
-    cut fresh from M* keep the cold broadcast (``warm_mask=None``).
-    """
-    import numpy as np
-
-    from .arraystate import ArraySearchState
-
-    use_union = (
-        options.use_containment
-        and distance < deepest
-        and union_astate is not None
-        and proto.child_links
-    )
-    if not use_union:
-        if not options.use_max_candidate_set:
-            # Naive mode: a fresh, fully-unpruned state per prototype --
-            # the per-prototype re-pruning cost the pipeline avoids.
-            return (
-                ArraySearchState.initial(base_astate.graph, proto.graph),
-                None,
-            )
-        return base_astate.for_prototype_search(proto), None
-    link = proto.child_links[0]
-    a, b = link.removed_edge
-    template_graph = proto.template.graph
-    pair = (template_graph.label(a), template_graph.label(b))
-    scoped = union_astate.for_prototype_search(proto, readmit_label_pairs=[pair])
-    warm = scoped.vertex_active != union_astate.vertex_active
-    csr = scoped.csr
-    diff = np.nonzero(scoped.edge_alive != union_astate.edge_alive)[0]
-    warm[csr.src[diff]] = True
-    warm[csr.indices[diff]] = True
-    return scoped, warm
-
-
-def _try_extension(
-    proto: Prototype,
-    stored_matches: Dict[int, Any],
-    graph: Graph,
-) -> Optional[Tuple[PrototypeSearchOutcome, SearchState]]:
-    """Derive this prototype's result from a child's stored matches (§4).
-
-    Children whose matches were enumerated store dense
-    :class:`~repro.core.enumeration.ArrayMatchSet` tables; those extend
-    through the batched array probe and keep the chain in array form.
-    Dict match lists (full-walk collections) use the per-match probe.
-    """
-    from .enumeration import ArrayMatchSet, extend_from_child_matches_array
-
-    for link in proto.child_links:
-        stored = stored_matches.get(link.child.id)
-        if stored is None:
-            continue
-        started = time.perf_counter()
-        if isinstance(stored, ArrayMatchSet):
-            match_set = extend_from_child_matches_array(
-                proto, link.child, stored
-            )
-            matches = match_set.mappings()
-        else:
-            match_set = None
-            matches = extend_from_child_matches(
-                proto, link.child, stored, graph
-            )
-        outcome = PrototypeSearchOutcome(proto)
-        outcome.matches = matches
-        outcome.match_set = match_set
-        outcome.match_mappings = len(matches)
-        outcome.distinct_matches = distinct_match_count(proto, len(matches))
-        state = state_from_matches(SearchState.empty(graph), proto, matches)
-        outcome.solution_vertices = set(state.candidates)
-        outcome.solution_edges = set(state.active_edge_list())
-        outcome.exact = True
-        outcome.wall_seconds = time.perf_counter() - started
-        # Simulated cost: one edge probe per child match.
-        outcome.simulated_seconds = 1.0e-7 * max(len(stored), 1)
-        return outcome, state
-    return None
-
-
-def merge_message_stats(stats_list: List[MessageStats]) -> Dict[str, object]:
-    """Aggregate message accounting across all engines of a run."""
-    total = 0
-    remote = 0
-    visits = 0
-    barriers = 0
-    control = 0
-    peak_interval_messages = 0
-    phases: Dict[str, Dict[str, int]] = {}
-    for stats in stats_list:
-        total += stats.total_messages
-        remote += stats.total_remote_messages
-        visits += stats.total_visits
-        barriers += stats.total_barriers
-        control += stats.control_messages
-        if stats.intervals:
-            peak_interval_messages = max(
-                peak_interval_messages,
-                max(interval[1] for interval in stats.intervals),
-            )
-        for name, counters in stats.phases.items():
-            bucket = phases.setdefault(
-                name, {"messages": 0, "remote_messages": 0, "visits": 0}
-            )
-            bucket["messages"] += counters.messages
-            bucket["remote_messages"] += counters.remote_messages
-            bucket["visits"] += counters.visits
-    return {
-        "total_messages": total,
-        "remote_messages": remote,
-        "remote_fraction": remote / total if total else 0.0,
-        "total_visits": visits,
-        "barriers": barriers,
-        "control_messages": control,
-        "peak_interval_messages": peak_interval_messages,
-        "phases": phases,
-    }
+        return sweep.run()

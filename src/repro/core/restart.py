@@ -13,6 +13,10 @@ the same capability available around :func:`~repro.core.pipeline.run_pipeline`:
   sweep from the first incomplete level — on the same or a different
   deployment size (the reload scenario of §5.4).
 
+Both are :class:`~repro.core.sweep.LevelSweep` runs with a per-level
+checkpoint hook; a resumed sweep starts from the restored base state,
+start level and level union.
+
 Resumed runs produce results identical to uninterrupted ones (validated by
 the failure-injection tests), because the containment rule only needs the
 previous level's union.
@@ -21,20 +25,16 @@ previous level's union.
 from __future__ import annotations
 
 import json
-import time
 from pathlib import Path
-from typing import Dict, List, Optional, Set, Union
+from typing import Dict, Optional, Set, Union
 
-from ..errors import CheckpointError
+from ..errors import CheckpointError, PipelineError
 from ..graph.graph import Graph
-from ..runtime.engine import Engine
-from ..runtime.messages import MessageStats
-from ..runtime.partition import PartitionedGraph
-from .candidate_set import max_candidate_set
-from .pipeline import PipelineOptions, run_pipeline
-from .prototypes import generate_prototypes
-from .results import PipelineResult
+from .pipeline import PipelineOptions
+from .prototypes import PrototypeSet, generate_prototypes
+from .results import LevelReport, PipelineResult, PrototypeSearchOutcome
 from .state import SearchState
+from .sweep import CheckpointHook, LevelSweep, search_setup
 from .template import PatternTemplate
 
 PathLike = Union[str, Path]
@@ -58,6 +58,41 @@ def _restore_state(graph: Graph, payload: Dict) -> SearchState:
     return SearchState(graph, candidates, active_edges)
 
 
+def _in_process_only(options: PipelineOptions) -> None:
+    """Checkpoints hold dict level unions; pooled levels build array ones."""
+    if options.worker_processes > 1:
+        raise PipelineError(
+            "checkpointed runs search in-process; worker_processes > 1 "
+            "is not supported"
+        )
+
+
+def _checkpoint_hook(
+    manifest: Dict, directory: Path, fail_after_level: Optional[int] = None
+) -> CheckpointHook:
+    """The sweep's per-level hook: persist the level, then maybe fail."""
+
+    def hook(level: LevelReport, union, result: PipelineResult) -> None:
+        for outcome in level.outcomes:
+            manifest["outcomes"][str(outcome.prototype.id)] = {
+                "vertices": sorted(outcome.solution_vertices),
+                "edges": sorted(outcome.solution_edges),
+            }
+        distance = level.distance
+        manifest["completed_levels"].append(distance)
+        manifest[f"union_after_{distance}"] = _state_payload(union)
+        manifest["match_vectors"] = {
+            str(v): sorted(ids) for v, ids in result.match_vectors.items()
+        }
+        _write_manifest(directory, manifest)
+        if fail_after_level is not None and distance == fail_after_level:
+            raise RuntimeError(
+                f"injected failure after checkpointing level {distance}"
+            )
+
+    return hook
+
+
 def run_pipeline_with_checkpoints(
     graph: Graph,
     template: PatternTemplate,
@@ -68,17 +103,18 @@ def run_pipeline_with_checkpoints(
 ) -> PipelineResult:
     """Run the pipeline, persisting a resumable checkpoint per level.
 
-    ``fail_after_level`` aborts (raises ``RuntimeError``) right after the
-    checkpoint for that edit-distance level is written — the failure
-    injection hook used by the tests.
+    The run is :func:`~repro.core.pipeline.run_pipeline`'s bottom-up sweep
+    with a per-level checkpoint hook, so an uninterrupted run reports the
+    same outcomes and counters.  ``fail_after_level`` aborts (raises
+    ``RuntimeError``) right after the checkpoint for that edit-distance
+    level is written — the failure injection hook used by the tests.
+    Pooled execution (``worker_processes > 1``) is rejected with
+    :class:`~repro.errors.PipelineError`.
     """
     options = options or PipelineOptions()
+    _in_process_only(options)
     directory = Path(checkpoint_dir)
     directory.mkdir(parents=True, exist_ok=True)
-
-    # Delegate the actual searching to run_pipeline level by level: run the
-    # full sweep but capture state via the per-level union recomputation.
-    # For checkpointing we re-execute the sweep explicitly.
     protos = generate_prototypes(template, k, options.max_prototypes)
     deepest = protos.max_distance
 
@@ -94,29 +130,14 @@ def run_pipeline_with_checkpoints(
         "pipeline", template=template.name, k=deepest, mode="checkpointed"
     ):
         # Base candidate set (checkpointed as the pre-sweep state).
-        pgraph = PartitionedGraph(
-            graph, options.num_ranks,
-            delegate_degree_threshold=options.delegate_degree_threshold,
-            ranks_per_node=options.ranks_per_node,
-        )
-        engine = Engine(
-            pgraph, MessageStats(options.num_ranks), options.batch_size,
-            tracer=options.tracer,
-        )
-        if options.use_max_candidate_set:
-            base_state = max_candidate_set(
-                graph, template, engine, adaptive=options.adaptive
-            )
-        else:
-            base_state = SearchState.initial(graph, template)
-        manifest["base_state"] = _state_payload(base_state)
+        setup = search_setup(graph, template, options)
+        manifest["base_state"] = _state_payload(setup.base_state)
         _write_manifest(directory, manifest)
-
-        return _sweep(
-            graph, template, protos, base_state, options,
-            manifest, directory, start_level=deepest,
-            fail_after_level=fail_after_level,
+        sweep = LevelSweep(
+            graph, template, deepest, options, prototype_set=protos,
+            checkpoint=_checkpoint_hook(manifest, directory, fail_after_level),
         )
+        return sweep.run(setup=setup)
 
 
 def resume_pipeline(
@@ -131,6 +152,7 @@ def resume_pipeline(
     paper's reload-on-smaller-deployment move); results are unaffected.
     """
     options = options or PipelineOptions()
+    _in_process_only(options)
     directory = Path(checkpoint_dir)
     manifest = _read_manifest(directory)
     if manifest["template"] != template.name:
@@ -144,151 +166,49 @@ def resume_pipeline(
     if completed:
         start_level = min(completed) - 1
         union_payload = manifest[f"union_after_{min(completed)}"]
-        prev_union = _restore_state(graph, union_payload)
+        prev_union: Optional[SearchState] = _restore_state(graph, union_payload)
     else:
         start_level = deepest
         prev_union = None
-    base_state = _restore_state(graph, manifest["base_state"])
+
+    # Restore previously completed work into the result object.
+    result = PipelineResult(template.name, deepest, protos)
+    for vertex, ids in manifest["match_vectors"].items():
+        result.match_vectors[int(vertex)] = set(ids)
+    completed_distances = range(deepest, start_level, -1)
+    result.levels = [
+        _restored_level(protos, distance, manifest["outcomes"])
+        for distance in completed_distances
+    ]
     with options.tracer.span(
         "pipeline", template=template.name, k=deepest, mode="checkpointed"
     ):
-        return _sweep(
-            graph, template, protos, base_state, options,
-            manifest, directory, start_level=start_level,
-            prev_union=prev_union,
+        setup = search_setup(
+            graph, template, options,
+            base_state=_restore_state(graph, manifest["base_state"]),
+        )
+        sweep = LevelSweep(
+            graph, template, deepest, options, prototype_set=protos,
+            checkpoint=_checkpoint_hook(manifest, directory),
+        )
+        return sweep.run(
+            setup=setup, start_level=start_level, union=prev_union,
+            result=result,
         )
 
 
-def _sweep(
-    graph,
-    template,
-    protos,
-    base_state,
-    options,
-    manifest,
-    directory,
-    start_level,
-    prev_union=None,
-    fail_after_level=None,
-):
-    """Run levels ``start_level .. 0``, checkpointing after each."""
-    from .constraints import generate_constraints
-    from .ordering import order_constraints
-    from .search import search_prototype
-    from .state import NlccCache
-
-    wall_start = time.perf_counter()
-    tracer = options.tracer
-    label_frequencies = graph.label_counts()
-    cache = NlccCache() if options.work_recycling else None
-    result = PipelineResult(template.name, protos.max_distance, protos)
-    (
-        result.candidate_set_vertices,
-        result.candidate_set_edges,
-    ) = base_state.active_counts()
-
-    # Restore previously completed work into the result object.
-    for vertex, ids in manifest["match_vectors"].items():
-        result.match_vectors[int(vertex)] = set(ids)
-    restored_outcomes = dict(manifest["outcomes"])
-
-    pgraph = PartitionedGraph(
-        graph, options.num_ranks,
-        delegate_degree_threshold=options.delegate_degree_threshold,
-        ranks_per_node=options.ranks_per_node,
-    )
-
-    from .results import LevelReport, PrototypeSearchOutcome
-
-    deepest = protos.max_distance
-    for distance in range(deepest, -1, -1):
-        level = LevelReport(distance)
-        if distance > start_level:
-            # Already completed before the interruption: rebuild outcomes.
-            for proto in protos.at(distance):
-                payload = restored_outcomes[str(proto.id)]
-                outcome = PrototypeSearchOutcome(proto)
-                outcome.solution_vertices = set(payload["vertices"])
-                outcome.solution_edges = {
-                    (int(u), int(v)) for u, v in payload["edges"]
-                }
-                level.outcomes.append(outcome)
-            result.levels.append(level)
-            continue
-
-        union = SearchState.empty(graph)
-        with tracer.span("level", distance=distance) as level_span:
-            for proto in protos.at(distance):
-                if (
-                    options.use_containment
-                    and distance < deepest
-                    and prev_union is not None
-                    and proto.child_links
-                ):
-                    link = proto.child_links[0]
-                    a, b = link.removed_edge
-                    pair = (template.graph.label(a), template.graph.label(b))
-                    state = prev_union.for_prototype_search(
-                        proto, readmit_label_pairs=[pair]
-                    )
-                else:
-                    state = base_state.for_prototype_search(proto)
-                constraint_set = generate_constraints(
-                    proto.graph, label_frequencies, options.include_full_walk
-                )
-                constraint_set.non_local = order_constraints(
-                    constraint_set.non_local, label_frequencies,
-                    optimize=bool(options.constraint_ordering),
-                )
-                stats = MessageStats(options.num_ranks)
-                engine = Engine(
-                    pgraph, stats, options.batch_size, tracer=tracer,
-                    metrics=options.metrics,
-                )
-                outcome = search_prototype(
-                    state, proto, constraint_set, engine,
-                    cache=cache, recycle=options.work_recycling,
-                    count_matches=options.count_matches,
-                    collect_matches=options.collect_matches,
-                    verification=options.verification,
-                    adaptive=options.adaptive,
-                    constraint_costs=options.constraint_costs,
-                )
-                outcome.simulated_seconds = options.cost_model.makespan(stats)
-                level.outcomes.append(outcome)
-                union.union_with(state)
-                for vertex in outcome.solution_vertices:
-                    result.match_vectors.setdefault(vertex, set()).add(proto.id)
-                manifest["outcomes"][str(proto.id)] = {
-                    "vertices": sorted(outcome.solution_vertices),
-                    "edges": sorted(outcome.solution_edges),
-                }
-            level.union_vertices, level.union_edges = union.active_counts()
-            level_span.add(
-                prototypes=len(level.outcomes),
-                union_vertices=level.union_vertices,
-                union_edges=level.union_edges,
-            )
-        level.search_seconds = sum(o.simulated_seconds for o in level.outcomes)
-        result.levels.append(level)
-        prev_union = union
-
-        manifest["completed_levels"].append(distance)
-        manifest[f"union_after_{distance}"] = _state_payload(union)
-        manifest["match_vectors"] = {
-            str(v): sorted(ids) for v, ids in result.match_vectors.items()
-        }
-        _write_manifest(directory, manifest)
-        if fail_after_level is not None and distance == fail_after_level:
-            raise RuntimeError(
-                f"injected failure after checkpointing level {distance}"
-            )
-
-    result.total_simulated_seconds = sum(
-        lvl.search_seconds for lvl in result.levels
-    )
-    result.total_wall_seconds = time.perf_counter() - wall_start
-    return result
+def _restored_level(
+    protos: PrototypeSet, distance: int, outcomes: Dict
+) -> LevelReport:
+    """A level completed before the interruption, rebuilt from the manifest."""
+    level = LevelReport(distance)
+    for proto in protos.at(distance):
+        payload = outcomes[str(proto.id)]
+        outcome = PrototypeSearchOutcome(proto)
+        outcome.solution_vertices = set(payload["vertices"])
+        outcome.solution_edges = {(int(u), int(v)) for u, v in payload["edges"]}
+        level.outcomes.append(outcome)
+    return level
 
 
 def _write_manifest(directory: Path, manifest: Dict) -> None:

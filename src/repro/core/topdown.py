@@ -6,7 +6,8 @@ inverts the sweep: start with exact matches of the full template and
 user-defined stopping condition is met (by default: the first level at
 which any match exists, the WDC-4 6-Clique scenario of §5.5).
 
-Each level reuses the same prototype search machinery; the maximum
+Each level reuses the same prototype search machinery — the top-down
+direction of :class:`~repro.core.sweep.LevelSweep`; the maximum
 candidate set is computed once, and NLCC work recycling applies across
 levels exactly as in the bottom-up mode (here it flows "top-down", the
 first direction of Obs. 2).
@@ -14,22 +15,12 @@ first direction of Obs. 2).
 
 from __future__ import annotations
 
-import time
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Optional
 
 from ..graph.graph import Graph
-from ..runtime.engine import Engine
-from ..runtime.messages import MessageStats
-from ..runtime.partition import PartitionedGraph
-from .arraystate import ArraySearchState
-from .candidate_set import max_candidate_set
-from .constraints import generate_constraints
-from .ordering import order_constraints
-from .pipeline import PipelineOptions, merge_message_stats
-from .prototypes import generate_prototypes
+from .pipeline import PipelineOptions
 from .results import LevelReport, PipelineResult
-from .search import search_prototype
-from .state import NlccCache, SearchState
+from .sweep import LevelSweep
 from .template import PatternTemplate
 
 #: stop as soon as a level produced at least one matching vertex
@@ -59,206 +50,10 @@ def exploratory_search(
     with options.tracer.span(
         "pipeline", template=template.name, k=max_k, mode="exploratory"
     ):
-        return _run_exploratory(graph, template, max_k, stop_condition, options)
-
-
-def _run_exploratory(
-    graph: Graph,
-    template: PatternTemplate,
-    max_k: int,
-    stop_condition: Callable[[LevelReport], bool],
-    options: PipelineOptions,
-) -> PipelineResult:
-    """Top-down sweep body; the caller owns the ``pipeline`` span."""
-    tracer = options.tracer
-    wall_start = time.perf_counter()
-    protos = generate_prototypes(template, max_k, options.max_prototypes)
-    label_frequencies = graph.label_counts()
-    cache = NlccCache() if options.work_recycling else None
-    cost_model = options.cost_model
-
-    pgraph = PartitionedGraph(
-        graph,
-        options.num_ranks,
-        delegate_degree_threshold=options.delegate_degree_threshold,
-        ranks_per_node=options.ranks_per_node,
-    )
-    mcs_stats = MessageStats(options.num_ranks)
-    mcs_engine = Engine(
-        pgraph, mcs_stats, options.batch_size, tracer=tracer,
-        metrics=options.metrics,
-    )
-    base_state = max_candidate_set(
-        graph, template, mcs_engine, adaptive=options.adaptive
-    )
-
-    result = PipelineResult(template.name, max_k, protos)
-    (
-        result.candidate_set_vertices,
-        result.candidate_set_edges,
-    ) = base_state.active_counts()
-    result.candidate_set_seconds = cost_model.makespan(mcs_stats)
-    all_stats: List[MessageStats] = [mcs_stats]
-
-    # Every exploratory scope derives from M*: convert it to array form
-    # once and cut each prototype's scope directly in array form.
-    base_astate = ArraySearchState.from_search_state(
-        base_state, roles=sorted(template.graph.vertices())
-    )
-
-    pool = None
-    if options.worker_processes > 1:
-        from ..runtime.parallel import PrototypeSearchPool
-
-        pool = PrototypeSearchPool(
-            graph, template, max_k, options, options.worker_processes
+        sweep = LevelSweep(
+            graph, template, max_k, options, stop_condition=stop_condition
         )
-
-    try:
-        for distance in range(0, protos.max_distance + 1):
-            with tracer.span("level", distance=distance) as level_span:
-                level_wall = time.perf_counter()
-                level = LevelReport(distance)
-                if pool is not None and len(protos.at(distance)) > 1:
-                    _pooled_exploratory_level(
-                        pool, protos, distance, base_astate, options, level,
-                        result,
-                    )
-                else:
-                    _inline_exploratory_level(
-                        graph, pgraph, protos, distance, base_astate,
-                        label_frequencies, cache, options, level, result,
-                        all_stats,
-                    )
-                level.search_seconds = sum(
-                    o.simulated_seconds for o in level.outcomes
-                )
-                level.union_vertices = len(
-                    {v for o in level.outcomes for v in o.solution_vertices}
-                )
-                level.post_lcc_vertices = sum(
-                    o.post_lcc_vertices for o in level.outcomes
-                )
-                level.post_lcc_edges = sum(
-                    o.post_lcc_edges for o in level.outcomes
-                )
-                level_span.add(
-                    prototypes=len(level.outcomes),
-                    union_vertices=level.union_vertices,
-                    post_lcc_vertices=level.post_lcc_vertices,
-                    post_lcc_edges=level.post_lcc_edges,
-                )
-                level.wall_seconds = time.perf_counter() - level_wall
-                result.levels.append(level)
-            if stop_condition(level):
-                break
-    finally:
-        if pool is not None:
-            pool.close()
-
-    result.total_simulated_seconds = result.candidate_set_seconds + sum(
-        level.search_seconds for level in result.levels
-    )
-    result.total_wall_seconds = time.perf_counter() - wall_start
-    result.message_summary = merge_message_stats(all_stats)
-    if cache is not None:
-        constraints, entries = cache.size()
-        result.nlcc_cache_stats = {
-            "hits": cache.hits,
-            "misses": cache.misses,
-            "constraints": constraints,
-            "entries": entries,
-        }
-    result.metrics = options.metrics
-    return result
-
-
-def _inline_exploratory_level(
-    graph: Graph,
-    pgraph: PartitionedGraph,
-    protos,
-    distance: int,
-    base_astate: ArraySearchState,
-    label_frequencies: Dict[int, int],
-    cache: Optional[NlccCache],
-    options: PipelineOptions,
-    level: LevelReport,
-    result: PipelineResult,
-    all_stats: List[MessageStats],
-) -> None:
-    """Search one exploratory level in-process."""
-    tracer = options.tracer
-    cost_model = options.cost_model
-    for proto in protos.at(distance):
-        constraint_set = generate_constraints(
-            proto.graph, label_frequencies, options.include_full_walk
-        )
-        constraint_set.non_local = order_constraints(
-            constraint_set.non_local,
-            label_frequencies,
-            optimize=options.constraint_ordering,
-        )
-        state = SearchState.empty(graph)
-        stats = MessageStats(options.num_ranks)
-        engine = Engine(
-            pgraph, stats, options.batch_size, tracer=tracer,
-            metrics=options.metrics,
-        )
-        outcome = search_prototype(
-            state,
-            proto,
-            constraint_set,
-            engine,
-            cache=cache,
-            recycle=options.work_recycling,
-            count_matches=options.count_matches,
-            collect_matches=options.collect_matches,
-            verification=options.verification,
-            array_scope=base_astate.for_prototype_search(proto),
-            adaptive=options.adaptive,
-            constraint_costs=options.constraint_costs,
-        )
-        outcome.simulated_seconds = cost_model.makespan(stats)
-        outcome.messages = stats.total_messages
-        outcome.remote_messages = stats.total_remote_messages
-        all_stats.append(stats)
-        level.outcomes.append(outcome)
-        for vertex in outcome.solution_vertices:
-            result.match_vectors.setdefault(vertex, set()).add(proto.id)
-
-
-def _pooled_exploratory_level(
-    pool,
-    protos,
-    distance: int,
-    base_astate: ArraySearchState,
-    options: PipelineOptions,
-    level: LevelReport,
-    result: PipelineResult,
-) -> None:
-    """Search one exploratory level on the worker pool.
-
-    Every scope is cut fresh from M* (no cross-level unions top-down), so
-    warm seeds never apply; the scopes ship as packed bitmaps over the
-    shared CSR.  Workers generate their own constraint sets at init.  Like
-    the bottom-up pooled path, worker message traces fold into the
-    per-outcome totals but not ``result.message_summary``.
-    """
-    from ..runtime.parallel import array_task, payload_to_outcome
-
-    tasks = [
-        array_task(proto.id, base_astate.for_prototype_search(proto))
-        for proto in protos.at(distance)
-    ]
-    tracer = options.tracer
-    for payload in pool.search_level(tasks):
-        proto = protos.by_id(payload["proto_id"])
-        outcome = payload_to_outcome(
-            proto, payload, tracer=tracer, metrics=options.metrics
-        )
-        level.outcomes.append(outcome)
-        for vertex in outcome.solution_vertices:
-            result.match_vectors.setdefault(vertex, set()).add(proto.id)
+        return sweep.run()
 
 
 def stopping_distance(result: PipelineResult) -> Optional[int]:

@@ -39,9 +39,6 @@ class Engine:
         The partitioned background graph.
     stats:
         Message accounting sink; a fresh one is created if omitted.
-    batch_size:
-        Per-rank scheduling batch of the modeled execution; must be
-        positive.  Rounds are accounted whole, so no count depends on it.
     tracer:
         Span tracer; every batched round records a ``round`` span with
         message/visit/worklist counters when tracing is enabled.
@@ -59,19 +56,15 @@ class Engine:
         self,
         pgraph: PartitionedGraph,
         stats: Optional[MessageStats] = None,
-        batch_size: int = 64,
         tracer=None,
         metrics=None,
     ) -> None:
-        if batch_size <= 0:
-            raise EngineError("batch_size must be positive")
         self.pgraph = pgraph
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.stats = stats if stats is not None else MessageStats(pgraph.num_ranks)
         if self.stats.num_ranks != pgraph.num_ranks:
             raise EngineError("stats rank count does not match partitioning")
-        self.batch_size = batch_size
         self._rank_node = [pgraph.node_of_rank(r) for r in range(pgraph.num_ranks)]
         # Metric handle resolved once (hot paths pay one cell add each).
         self._m_batched_rounds = self.metrics.counter("engine.rounds_batched")

@@ -20,8 +20,9 @@ solution bitmaps the parent ORs into the level union, in task order.
 
 Results are identical to sequential execution (outcomes are pure
 functions of the shipped starting scope); only wall-clock changes.
-Simulated makespans are computed inside the workers from their own
-message traces.
+Workers run the sweep's own per-prototype step on the sweep's search
+partition, so their simulated makespans and message counts are those
+of the in-process path.
 """
 
 from __future__ import annotations
@@ -35,8 +36,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from ..core.pipeline import PipelineOptions
     from ..core.prototypes import Prototype
     from ..core.results import PrototypeSearchOutcome
+    from ..core.sweep import ConstraintPlans
     from ..core.template import PatternTemplate
     from ..graph.graph import Graph
+    from .partition import PartitionedGraph
     from .shm import SharedCsrHandle
     from .trace import Tracer
 
@@ -89,15 +92,19 @@ def _init_worker(
     k: int,
     options: "PipelineOptions",
     shm_handle: "SharedCsrHandle",
+    pgraph: "PartitionedGraph",
+    plans: "ConstraintPlans",
 ) -> None:
     """Runs once per worker process: build the shared per-replica state.
 
     The worker attaches to the pool's shared-memory segment and installs
     the zero-copy view as the graph's memoized CSR, so every
     ``csr_of(graph)`` in the search stack reads the one shared copy.
+    ``pgraph`` (the sweep's search partition) and ``plans`` (its
+    constraint-plan builder) arrive fork-inherited, so every task
+    accounts on the deployment and constraint order the in-process sweep
+    uses.
     """
-    from ..core.constraints import generate_constraints
-    from ..core.ordering import order_constraints
     from ..core.prototypes import generate_prototypes
     from ..core.state import NlccCache
 
@@ -108,24 +115,13 @@ def _init_worker(
     except (FileNotFoundError, OSError):  # pragma: no cover - attach race
         pass  # csr_of() rebuilds locally; results are unaffected
 
-    label_frequencies = graph.label_counts()
     protos = generate_prototypes(template, k, options.max_prototypes)
-    constraint_sets = {}
-    for proto in protos:
-        constraint_set = generate_constraints(
-            proto.graph, label_frequencies, options.include_full_walk
-        )
-        constraint_set.non_local = order_constraints(
-            constraint_set.non_local,
-            label_frequencies,
-            optimize=bool(options.constraint_ordering),
-        )
-        constraint_sets[proto.id] = constraint_set
     _WORKER.update(
         graph=graph,
         options=options,
         prototypes={p.id: p for p in protos},
-        constraint_sets=constraint_sets,
+        pgraph=pgraph,
+        plans=plans,
         cache=NlccCache() if options.work_recycling else None,
     )
 
@@ -134,10 +130,11 @@ def _search_task(task: PoolTask) -> Dict[str, Any]:
     """Search one prototype inside a worker; returns a plain-data outcome.
 
     The task's bitmaps become an :class:`ArraySearchState` over the
-    attached shared CSR, handed to :func:`search_prototype` as the
-    ``array_scope`` — the dict state stays empty until the search's final
-    write-back.  The result payload carries packed solution bitmaps
-    (``solution_bits``) for the parent's level union.
+    attached shared CSR, handed to the sweep's per-prototype step
+    (:func:`~repro.core.sweep.search_step`) as the scope — the dict state
+    stays empty until the search's final write-back.  The result payload
+    carries packed solution bitmaps (``solution_bits``) for the parent's
+    level union.
 
     When the shipped options carry an enabled tracer, the worker builds a
     fresh local :class:`~repro.runtime.trace.Tracer` (span forests never
@@ -157,12 +154,8 @@ def _search_task(task: PoolTask) -> Dict[str, Any]:
     import os
 
     from ..core.arraystate import ArraySearchState, csr_of, unpack_bits
-    from ..core.search import search_prototype
-    from ..core.state import SearchState
-    from .engine import Engine
-    from .messages import MessageStats
+    from ..core.sweep import search_step
     from .metrics import MetricsRegistry
-    from .partition import PartitionedGraph
     from .trace import NULL_TRACER, Tracer
 
     graph = _WORKER["graph"]
@@ -180,31 +173,10 @@ def _search_task(task: PoolTask) -> Dict[str, Any]:
     warm_mask = None
     if warm_bits is not None:
         warm_mask = unpack_bits(warm_bits, csr.num_vertices)
-    state = SearchState.empty(graph)
-
-    pgraph = PartitionedGraph(
-        graph,
-        options.num_ranks,
-        delegate_degree_threshold=options.delegate_degree_threshold,
-        ranks_per_node=options.ranks_per_node,
-    )
-    stats = MessageStats(options.num_ranks)
-    engine = Engine(
-        pgraph, stats, options.batch_size, tracer=tracer, metrics=registry
-    )
-    outcome = search_prototype(
-        state,
-        proto,
-        _WORKER["constraint_sets"][task.proto_id],
-        engine,
-        cache=_WORKER["cache"],
-        recycle=options.work_recycling,
-        count_matches=options.count_matches,
-        verification=options.verification,
-        array_scope=astate,
-        warm_mask=warm_mask,
-        adaptive=options.adaptive,
-        constraint_costs=options.constraint_costs,
+    outcome, _state, _stats = search_step(
+        proto, _WORKER["plans"](proto), astate, _WORKER["pgraph"], options,
+        _WORKER["cache"], warm_mask=warm_mask, tracer=tracer,
+        metrics=registry,
     )
     return {
         "proto_id": task.proto_id,
@@ -223,9 +195,9 @@ def _search_task(task: PoolTask) -> Dict[str, Any]:
         "nlcc_completions": outcome.nlcc_completions,
         "nlcc_dedup_merged": outcome.nlcc_dedup_merged,
         "exact": outcome.exact,
-        "simulated_seconds": options.cost_model.makespan(stats),
-        "messages": stats.total_messages,
-        "remote_messages": stats.total_remote_messages,
+        "simulated_seconds": outcome.simulated_seconds,
+        "messages": outcome.messages,
+        "remote_messages": outcome.remote_messages,
         "wall_seconds": outcome.wall_seconds,
         "trace_spans": (
             [span.to_payload() for span in tracer.roots] if tracing else None
@@ -290,6 +262,11 @@ class PrototypeSearchPool:
 
     Use as a context manager; submit per-level batches with
     :meth:`search_level`.
+
+    ``pgraph`` is the search partition the workers account on and
+    ``plans`` the constraint-plan builder they use; a sweep passes its
+    own, and both default to what a fresh sweep over ``graph`` would use
+    before any rebalancing (the initial assignment on ``num_ranks``).
     """
 
     def __init__(
@@ -299,13 +276,21 @@ class PrototypeSearchPool:
         k: int,
         options: "PipelineOptions",
         processes: int,
+        pgraph: Optional["PartitionedGraph"] = None,
+        plans: Optional["ConstraintPlans"] = None,
     ) -> None:
         if processes <= 1:
             raise ValueError("a pool needs at least two processes")
         import multiprocessing as mp
 
         from ..core.arraystate import csr_of
+        from ..core.sweep import ConstraintPlans, partition
         from .shm import SharedGraphCsr
+
+        if pgraph is None:
+            pgraph = partition(graph, options.num_ranks, options)
+        if plans is None:
+            plans = ConstraintPlans(graph, options)
 
         self._options = options
         self._processes = processes
@@ -316,7 +301,7 @@ class PrototypeSearchPool:
             max_workers=processes,
             mp_context=mp.get_context("fork"),
             initializer=_init_worker,
-            initargs=(graph, template, k, options, shm.handle),
+            initargs=(graph, template, k, options, shm.handle, pgraph, plans),
         )
         #: measured wall seconds of the last search of each prototype
         self._wall_history: Dict[int, float] = {}
@@ -507,29 +492,13 @@ class TemplateBatchScheduler:
         pipeline-over-``G``.
         """
         from ..core.arraystate import ArraySearchState, csr_of
-        from ..core.candidate_set import max_candidate_set
-        from ..core.pipeline import _initial_assignment
-        from .engine import Engine
-        from .messages import MessageStats
-        from .partition import PartitionedGraph
+        from ..core.sweep import search_setup
 
         options = self.options
         graph = self.graph
-        pgraph = PartitionedGraph(
-            graph,
-            options.num_ranks,
-            assignment=_initial_assignment(graph, options.num_ranks, options),
-            delegate_degree_threshold=options.delegate_degree_threshold,
-            ranks_per_node=options.ranks_per_node,
-        )
-        engine = Engine(
-            pgraph, MessageStats(options.num_ranks), options.batch_size,
-            tracer=options.tracer,
-        )
-        state = max_candidate_set(
-            graph, job.template, engine, memo=self.memo,
-            adaptive=options.adaptive,
-        )
+        state = search_setup(
+            graph, job.template, options, candidate_memo=self.memo
+        ).base_state
         vertices, _ = state.active_counts()
         csr = csr_of(graph)
         if vertices == 0 or vertices > options.aux_view_ratio * csr.num_vertices:

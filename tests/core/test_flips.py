@@ -135,6 +135,28 @@ class TestFlipPipeline:
         assert spans.count("prototype") == len(result.variants)
         assert dict(options.metrics.counters())["engine.rounds_batched"] > 0
 
+    def test_variants_run_the_sweep_step(self):
+        # Variants are searched by the sweep's per-prototype step: measured
+        # NLCC costs recycle across variants (the adaptive re-sort's input)
+        # and every outcome carries its message accounting.
+        edges = [(0, 1), (1, 2), (2, 0), (2, 3)]
+        template = PatternTemplate.from_edges(
+            edges, labels={0: 1, 1: 2, 2: 3, 3: 4}, name="tri-tail"
+        )
+        graph = planted_graph(
+            40, 80, edges, [1, 2, 3, 4], copies=2, num_labels=5, seed=19,
+        )
+        options = PipelineOptions(num_ranks=2)
+        result = run_flip_pipeline(graph, template, flips=1, options=options)
+        checked = sum(
+            o.nlcc_constraints_checked for o in result.outcomes.values()
+        )
+        assert checked > 0
+        assert len(options.constraint_costs) > 0
+        outcomes = list(result.outcomes.values())
+        assert sum(o.messages for o in outcomes) > 0
+        assert all(0 <= o.remote_messages <= o.messages for o in outcomes)
+
     def test_match_vectors_union(self):
         template = base_template()
         graph = planted_graph(

@@ -8,7 +8,7 @@ from repro.core.restart import (
     run_pipeline_with_checkpoints,
 )
 from repro.core.template import PatternTemplate
-from repro.errors import CheckpointError
+from repro.errors import CheckpointError, PipelineError
 from repro.graph.generators import planted_graph
 
 EDGES = [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 0)]
@@ -24,6 +24,19 @@ def workload(seed=33):
     return graph, template
 
 
+def counter_rows(result):
+    return {
+        o.prototype.id: (
+            sorted(o.solution_vertices), sorted(o.solution_edges),
+            o.match_mappings, o.lcc_iterations, o.post_lcc_vertices,
+            o.post_lcc_edges, o.nlcc_constraints_checked,
+            o.nlcc_roles_eliminated, o.nlcc_recycled, o.nlcc_tokens_launched,
+            o.messages, o.remote_messages, o.simulated_seconds,
+        )
+        for o in result.outcomes()
+    }
+
+
 class TestCheckpointedRun:
     def test_uninterrupted_run_matches_plain_pipeline(self, tmp_path):
         graph, template = workload()
@@ -32,6 +45,42 @@ class TestCheckpointedRun:
             graph, template, K, tmp_path, PipelineOptions(num_ranks=2)
         )
         assert checkpointed.match_vectors == plain.match_vectors
+
+    def test_uninterrupted_run_reports_plain_counters(self, tmp_path):
+        # The checkpointed run is the plain bottom-up sweep plus a hook:
+        # per-outcome accounting, message totals (M* included) and the
+        # simulated time all agree.
+        graph, template = workload()
+        plain = run_pipeline(graph, template, K, PipelineOptions(num_ranks=2))
+        checkpointed = run_pipeline_with_checkpoints(
+            graph, template, K, tmp_path, PipelineOptions(num_ranks=2)
+        )
+        assert counter_rows(checkpointed) == counter_rows(plain)
+        assert checkpointed.message_summary == plain.message_summary
+        assert checkpointed.nlcc_cache_stats == plain.nlcc_cache_stats
+        assert (
+            checkpointed.total_simulated_seconds
+            == plain.total_simulated_seconds
+        )
+
+    def test_pooled_checkpointing_rejected(self, tmp_path):
+        # Checkpoints persist dict level unions; pooled levels never build
+        # one, so pooled checkpointing fails up front instead of silently
+        # running in-process.
+        graph, template = workload()
+        with pytest.raises(PipelineError):
+            run_pipeline_with_checkpoints(
+                graph, template, K, tmp_path,
+                PipelineOptions(num_ranks=2, worker_processes=2),
+            )
+        run_pipeline_with_checkpoints(
+            graph, template, K, tmp_path, PipelineOptions(num_ranks=2)
+        )
+        with pytest.raises(PipelineError):
+            resume_pipeline(
+                graph, template, tmp_path,
+                PipelineOptions(num_ranks=2, worker_processes=2),
+            )
 
     def test_manifest_written(self, tmp_path):
         graph, template = workload()
@@ -63,6 +112,35 @@ class TestCrashAndResume:
                 resumed.outcome_for(proto.id).solution_vertices
                 == plain.outcome_for(proto.id).solution_vertices
             )
+
+    def test_resume_at_every_level(self, tmp_path):
+        graph, template = workload()
+        plain = run_pipeline(graph, template, K, PipelineOptions(num_ranks=2))
+        for crash_level in range(K, -1, -1):
+            directory = tmp_path / f"crash-{crash_level}"
+            with pytest.raises(RuntimeError, match="injected failure"):
+                run_pipeline_with_checkpoints(
+                    graph, template, K, directory,
+                    PipelineOptions(num_ranks=2),
+                    fail_after_level=crash_level,
+                )
+            resumed = resume_pipeline(
+                graph, template, directory, PipelineOptions(num_ranks=2)
+            )
+            assert resumed.match_vectors == plain.match_vectors
+            assert [lvl.distance for lvl in resumed.levels] == list(
+                range(K, -1, -1)
+            )
+            # Levels searched after the restart scope from the restored
+            # union exactly like the plain run (the NLCC recycling cache
+            # is not checkpointed, so NLCC traffic may differ).
+            for level in resumed.levels:
+                if level.distance >= crash_level:
+                    continue
+                for outcome in level.outcomes:
+                    reference = plain.outcome_for(outcome.prototype.id)
+                    assert outcome.solution_edges == reference.solution_edges
+                    assert outcome.post_lcc_edges == reference.post_lcc_edges
 
     def test_resume_on_smaller_deployment(self, tmp_path):
         """The §5.4 reload scenario: resume with fewer ranks."""

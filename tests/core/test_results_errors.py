@@ -103,27 +103,3 @@ class TestResultObjects:
         for outcome in result.outcomes():
             assert outcome.has_matches == bool(outcome.solution_vertices)
 
-
-class TestBatchSizeInvariance:
-    """The asynchronous schedule must never change results."""
-
-    @pytest.mark.parametrize("batch_size", [1, 7, 64, 1000])
-    def test_results_stable_under_scheduling(self, batch_size):
-        edges = [(0, 1), (1, 2), (2, 0), (2, 3)]
-        labels = [1, 2, 3, 4]
-        graph = planted_graph(40, 90, edges, labels, copies=2, seed=10)
-        template = PatternTemplate.from_edges(
-            edges, {i: l for i, l in enumerate(labels)}, name="t"
-        )
-        reference = run_pipeline(
-            graph, template, 1, PipelineOptions(num_ranks=3, batch_size=64)
-        )
-        result = run_pipeline(
-            graph, template, 1,
-            PipelineOptions(num_ranks=3, batch_size=batch_size),
-        )
-        assert result.match_vectors == reference.match_vectors
-        assert (
-            result.message_summary["total_messages"]
-            == reference.message_summary["total_messages"]
-        )

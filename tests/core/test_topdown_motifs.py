@@ -84,6 +84,59 @@ class TestExploratorySearch:
         assert len(result.levels) == 1
 
 
+class TestExploratoryOnTheSweep:
+    """Top-down levels run the bottom-up sweep's setup, step and epilogue."""
+
+    @pytest.mark.parametrize("knobs", [
+        {},
+        {"constraint_ordering": "walk-cost"},
+        {"partition_strategy": "block"},
+        {"use_max_candidate_set": False},
+    ], ids=["default", "walk-cost", "block", "no-mstar"])
+    def test_levels_match_containment_free_bottom_up(self, knobs):
+        # With containment off, every bottom-up scope is cut from M* just
+        # like a top-down one; recycling and the measured-cost re-sort are
+        # off so the opposite level order cannot matter.
+        t = TestExploratorySearch().template()
+        g = planted_graph(
+            80, 160, [(0, 1), (1, 2), (2, 3), (3, 0)], [1, 2, 3, 4],
+            copies=2, num_labels=6, seed=9,
+        )
+        options = dict(
+            num_ranks=2, use_containment=False, work_recycling=False,
+            adaptive=False, **knobs,
+        )
+        top = exploratory_search(
+            g, t, stop_condition=lambda level: False,
+            options=PipelineOptions(**options),
+        )
+        bottom = run_pipeline(
+            g, t, t.max_meaningful_distance(), PipelineOptions(**options)
+        )
+        assert top.candidate_set_vertices == bottom.candidate_set_vertices
+        assert top.match_vectors == bottom.match_vectors
+
+        def rows(result):
+            return {
+                o.prototype.id: (
+                    sorted(o.solution_edges), o.lcc_iterations,
+                    o.nlcc_constraints_checked, o.nlcc_tokens_launched,
+                    o.messages, o.remote_messages, o.simulated_seconds,
+                )
+                for o in result.outcomes()
+            }
+
+        def level_sizes(result):
+            return {
+                lvl.distance: (lvl.union_vertices, lvl.union_edges)
+                for lvl in result.levels
+            }
+
+        assert rows(top) == rows(bottom)
+        assert level_sizes(top) == level_sizes(bottom)
+        assert any(edges for _, edges in level_sizes(top).values())
+
+
 class TestMotifs:
     def test_motif_template_unlabeled(self):
         t = motif_template(4)

@@ -167,16 +167,12 @@ class TestEngine:
 
     def test_deterministic_order(self):
         def run():
-            engine = Engine(two_rank_pgraph(), batch_size=2)
+            engine = Engine(two_rank_pgraph())
             broadcast_round(engine)
             broadcast_round(engine, senders=[1, 2])
             return engine.stats.summary(), engine.stats.intervals
 
         assert run() == run()
-
-    def test_bad_batch_size(self):
-        with pytest.raises(EngineError):
-            Engine(two_rank_pgraph(), batch_size=0)
 
     def test_stats_rank_mismatch_rejected(self):
         with pytest.raises(EngineError):

@@ -20,6 +20,31 @@ def workload(seed=51):
     return graph, template
 
 
+RING_EDGES = [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 0)]
+RING_LABELS = [1, 2, 3, 4, 5]
+
+
+def ring_workload(seed=33):
+    graph = planted_graph(
+        60, 140, RING_EDGES, RING_LABELS, copies=3, num_labels=6, seed=seed
+    )
+    template = PatternTemplate.from_edges(
+        RING_EDGES, {i: l for i, l in enumerate(RING_LABELS)}, name="ring+chord"
+    )
+    return graph, template
+
+
+def counter_rows(result):
+    """Per-prototype accounting the pooled and inline paths must share."""
+    return {
+        o.prototype.id: (
+            o.messages, o.remote_messages, o.lcc_iterations,
+            o.nlcc_constraints_checked, o.simulated_seconds,
+        )
+        for o in result.outcomes()
+    }
+
+
 class TestWorkerProcesses:
     def test_results_identical_to_sequential(self):
         graph, template = workload()
@@ -99,6 +124,27 @@ class TestWorkerProcesses:
         report = audit_result(graph, pooled)
         assert report.exact
         assert len(report.prototypes) == len(pooled.prototype_set)
+
+    @pytest.mark.parametrize("knobs", [
+        {},
+        {"partition_strategy": "block"},
+        {"reload_ranks": 2},
+        {"constraint_ordering": "walk-cost"},
+    ], ids=["default", "block", "reload", "walk-cost"])
+    def test_pooled_accounting_matches_inline(self, knobs):
+        # Workers run the sweep's per-prototype step on the sweep's own
+        # search partition and constraint plans, so every per-outcome
+        # counter equals the in-process one.  Recycling is off because
+        # worker caches only see the tasks their worker served, and the
+        # adaptive measured-cost re-sort reads wall times.
+        graph, template = ring_workload()
+        base = dict(work_recycling=False, adaptive=False, **knobs)
+        inline = run_pipeline(graph, template, 2, PipelineOptions(**base))
+        pooled = run_pipeline(
+            graph, template, 2, PipelineOptions(worker_processes=2, **base)
+        )
+        assert pooled.match_vectors == inline.match_vectors
+        assert counter_rows(pooled) == counter_rows(inline)
 
     def test_collect_matches_rejected(self):
         with pytest.raises(PipelineError):

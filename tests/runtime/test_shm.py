@@ -260,7 +260,7 @@ class TestPayloadParity:
         csr = csr_of(graph)
         options = array_options()
         pgraph = PartitionedGraph(graph, options.num_ranks)
-        engine = Engine(pgraph, MessageStats(options.num_ranks), options.batch_size)
+        engine = Engine(pgraph, MessageStats(options.num_ranks))
         base_state = max_candidate_set(graph, template, engine)
         base_astate = ArraySearchState.from_search_state(
             base_state, roles=sorted(template.graph.vertices())
@@ -288,7 +288,7 @@ class TestPayloadParity:
         graph, template = kernel_workload()
         options = array_options()
         pgraph = PartitionedGraph(graph, options.num_ranks)
-        engine = Engine(pgraph, MessageStats(options.num_ranks), options.batch_size)
+        engine = Engine(pgraph, MessageStats(options.num_ranks))
         base_state = max_candidate_set(graph, template, engine)
         base_astate = ArraySearchState.from_search_state(
             base_state, roles=sorted(template.graph.vertices())
